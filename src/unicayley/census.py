@@ -2,13 +2,17 @@
 
 Every count is exact (arbitrary-precision integers throughout).  The central
 family is the "shifted intersection" count: the number of invertible n x n
-matrices M such that M - diag(I_r, 0) is also invertible.  Closed forms
-exist for r = 0 (the general linear group order), r = 1, r = 2, and r = n
-(linear derangements); the oracle covers every rank by full enumeration.
+matrices M such that M - diag(I_r, 0) is also invertible.  A Gaussian-binomial
+recursion gives it in closed form for every rank 0 <= r <= n, from the base
+cases r = 0 (the general linear group order) and r = n (linear
+derangements).  The paper's own forms for r = 1 and r = 2 are kept as
+independent checks of the recursion, and the oracle covers every rank by full
+enumeration.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .fields import FieldSpec, factor_prime_power
@@ -22,9 +26,25 @@ def _check_nq(n: int, q: int) -> None:
         raise ValueError(f"field order must be a prime power >= 2, got {q!r}")
 
 
+def _validated(formula):
+    """Check (n, q) before evaluating a closed form.
+
+    The unchecked polynomial stays reachable as formula.__wrapped__, so
+    identities between closed forms can be tested at every integer q >= 2,
+    not only at prime powers.
+    """
+
+    @functools.wraps(formula)
+    def checked(n: int, q: int) -> int:
+        _check_nq(n, q)
+        return formula(n, q)
+
+    return checked
+
+
+@_validated
 def gl_order(n: int, q: int) -> int:
     """Number of invertible n x n matrices over GF(q)."""
-    _check_nq(n, q)
     out = 1
     qn = q ** n
     for k in range(1, n + 1):
@@ -48,13 +68,13 @@ def derangements_formula(n: int, q: int) -> int:
     return e
 
 
+@_validated
 def rank1_intersection_formula(n: int, q: int) -> int:
     """Closed form for invertible M with M - E_11 invertible.
 
     (q^n - q^{n-1} - 1) * prod_{k=1}^{n-1} (q^n - q^k); the product is empty
     at n = 1, where the count degenerates to q - 2.
     """
-    _check_nq(n, q)
     qn = q ** n
     out = qn - q ** (n - 1) - 1
     for k in range(1, n):
@@ -62,13 +82,13 @@ def rank1_intersection_formula(n: int, q: int) -> int:
     return out
 
 
+@_validated
 def rank2_intersection_formula(n: int, q: int) -> int:
     """Closed form for invertible M with M - diag(1,1,0,...,0) invertible.
 
     Defined for n >= 2; at n = 2 the shift is the identity and the count
     collapses to the derangement count e_2.
     """
-    _check_nq(n, q)
     if n < 2:
         raise ValueError(f"rank-2 shift needs n >= 2, got {n}")
     head = (
@@ -102,26 +122,58 @@ def rank2_case_formulas(n: int, q: int) -> tuple[int, int, int]:
     return case1, case2, case3
 
 
-def intersection_count_formula(r: int, n: int, q: int) -> int:
-    """Closed-form shifted-intersection count for the ranks that have one.
+@functools.lru_cache(maxsize=None)
+def gaussian_binomial(a: int, b: int, q: int) -> int:
+    """[a, b]_q: the number of b-dimensional subspaces of GF(q)^a."""
+    if not 0 <= b <= a:
+        return 0
+    num = den = 1
+    for i in range(b):
+        num *= q ** (a - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
 
-    Supported ranks are 0, 1, 2 and n; for 3 <= r <= n - 1 no closed form is
-    available and ValueError is raised.
+
+@functools.lru_cache(maxsize=None)
+def shifted_count_recursion(n: int, r: int, q: int) -> int:
+    """c(n, r) by the Gaussian-binomial recursion, without argument checks.
+
+    Condition on W, the span of the last k = n - r columns, which M and
+    M - diag(I_r, 0) share; the first r columns only matter modulo W.
+    Counting the subspaces W by t = dim(W meet span(e_1..e_r)) gives
+        c(n, r) = q^{rk} |GL_k| sum_{t=0}^{min(r,k)}
+                  [r,t]_q [k,k-t]_q q^{(r-t)(k-t)} c(r, r-t)
+    with base cases c(m, 0) = |GL_m| and c(m, m) = e_m, the derangement
+    count.  Every recursive call has a smaller side, and each term is a
+    polynomial in q, so the recursion is defined at every integer q >= 2.
     """
-    _check_nq(n, q)
-    if not 0 <= r <= n:
-        raise ValueError(f"rank must lie in [0, {n}], got {r}")
     if r == 0:
-        return gl_order(n, q)
+        return gl_order.__wrapped__(n, q)
     if r == n:
         return derangements_formula(n, q)
-    if r == 1:
-        return rank1_intersection_formula(n, q)
-    if r == 2:
-        return rank2_intersection_formula(n, q)
-    raise ValueError(
-        f"no closed form for rank {r} at n = {n}; use the enumeration oracle"
-    )
+    k = n - r
+    total = 0
+    for t in range(min(r, k) + 1):
+        total += (
+            gaussian_binomial(r, t, q)
+            * gaussian_binomial(k, k - t, q)
+            * q ** ((r - t) * (k - t))
+            * shifted_count_recursion(r, r - t, q)
+        )
+    return q ** (r * k) * gl_order.__wrapped__(k, q) * total
+
+
+def intersection_count_formula(r: int, n: int, q: int) -> int:
+    """Closed-form shifted-intersection count for every rank 0 <= r <= n.
+
+    Evaluates shifted_count_recursion, memoised per process; r = 0 and r = n
+    are its base cases gl_order and derangements_formula.  The paper's rank-1
+    and rank-2 forms are independent checks of it, not inputs.
+    """
+    _check_nq(n, q)
+    if not isinstance(r, int) or not 0 <= r <= n:
+        raise ValueError(f"rank must lie in [0, {n}], got {r!r}")
+    return shifted_count_recursion(n, r, q)
 
 
 def srg_parameters_n2(q: int) -> tuple[int, int, int, int]:

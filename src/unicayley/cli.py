@@ -1,7 +1,8 @@
 """Command-line front end: census, verification, and SRG decisions.
 
 Exit codes: 0 success (an SRG verdict of "no" is still success), 1 a
-verification check failed, 2 usage error, 3 enumeration budget exceeded.
+verification check failed, 2 usage error, 3 budget exceeded (an enumeration
+too large, or closed-form counts too long to print).
 JSON output is deterministic: identical flags (including --seed) produce
 byte-identical documents regardless of --threads.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import sys
@@ -28,6 +30,7 @@ from .census import (
 from .errors import BudgetExceededError, DEFAULT_BUDGET
 from .fields import FieldSpec, factor_prime_power, make_field, poly_text
 from .graph import (
+    SRG_METHODS,
     common_neighbors_bruteforce,
     common_neighbors_by_rank,
     explicit_graph_build,
@@ -111,6 +114,32 @@ def _resolve_threads(args) -> int:
     return value
 
 
+# Python's own default for sys.get_int_max_str_digits(), used when the
+# interpreter's limit is switched off (0).
+DEFAULT_MAX_STR_DIGITS = 4300
+
+
+def _check_printable(n: int, q: int, what: str) -> None:
+    """Refuse a closed-form run whose counts could not be printed.
+
+    Every count is below q^{n^2}, the number of n x n matrices, so the run is
+    refused when q^{n^2} has more decimal digits than the interpreter converts
+    to a string.  This also bounds the work of the recursion.
+    """
+    limit = sys.get_int_max_str_digits() or DEFAULT_MAX_STR_DIGITS
+    # the float estimate spares building q^{n^2} for a huge n; below it the
+    # exact power has at most limit + 2 digits and is cheap to compare
+    estimate = n * n * math.log10(q)
+    if estimate > limit + 1 or q ** (n * n) >= 10 ** limit:
+        digits = math.floor(estimate) + 1
+        raise BudgetExceededError(
+            digits, limit,
+            what=f"{what} at n = {n}, q = {q} (counts up to q^(n^2))",
+            unit="decimal digits",
+            remedy="raise PYTHONINTMAXSTRDIGITS to print longer counts",
+        )
+
+
 def _print_json(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -122,6 +151,8 @@ def _census_records(args, n, field, budget, threads):
     """Build (records, agrees_by_rank, pair_info) for the census command."""
     q = field.q
     method = args.method
+    if method != "oracle":
+        _check_printable(n, q, "closed-form census")
     records: list[CensusRecord] = []
     agrees: dict[int, bool] = {}
     pair_info = None
@@ -142,10 +173,7 @@ def _census_records(args, n, field, budget, threads):
         pair_info = {"matrix_a": a.to_literal(), "matrix_b": b.to_literal(), "rank": r}
         counts = {}
         if method in ("formula", "both"):
-            try:
-                counts["formula"] = intersection_count_formula(r, n, q)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
+            counts["formula"] = intersection_count_formula(r, n, q)
         if method in ("oracle", "both"):
             counts["oracle"] = common_neighbors_bruteforce(
                 a, b, budget=budget, threads=threads
@@ -171,10 +199,7 @@ def _census_records(args, n, field, budget, threads):
     for r in ranks:
         counts = {}
         if method in ("formula", "both"):
-            try:
-                counts["formula"] = intersection_count_formula(r, n, q)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
+            counts["formula"] = intersection_count_formula(r, n, q)
         if method in ("oracle", "both"):
             counts["oracle"] = intersection_count_oracle(
                 r, n, field, budget=budget, threads=threads
@@ -251,10 +276,19 @@ def _check_rank1_singularity(n, field, seed, budget, threads):
     return True, f"equivalence holds for all {total} matrices"
 
 
+def _recursion_note(r, n, q, paper):
+    """Compare the recursion with the paper's rank-r form: (agrees, note)."""
+    rec = intersection_count_formula(r, n, q)
+    if rec == paper:
+        return True, "; recursion agrees"
+    return False, f"; recursion gives {rec}"
+
+
 def _check_rank1_count(n, field, seed, budget, threads):
     lhs = rank1_intersection_formula(n, field.q)
     rhs = intersection_count_oracle(1, n, field, budget=budget, threads=threads)
-    return lhs == rhs, f"formula {lhs} vs oracle {rhs}"
+    rec_ok, note = _recursion_note(1, n, field.q, lhs)
+    return lhs == rhs and rec_ok, f"formula {lhs} vs oracle {rhs}{note}"
 
 
 def _check_rank2_count(n, field, seed, budget, threads):
@@ -262,17 +296,18 @@ def _check_rank2_count(n, field, seed, budget, threads):
         raise UsageError("the rank-2 count needs n >= 2")
     lhs = rank2_intersection_formula(n, field.q)
     rhs = intersection_count_oracle(2, n, field, budget=budget, threads=threads)
-    if lhs != rhs:
-        return False, f"formula {lhs} vs oracle {rhs}"
+    rec_ok, note = _recursion_note(2, n, field.q, lhs)
+    if lhs != rhs or not rec_ok:
+        return False, f"formula {lhs} vs oracle {rhs}{note}"
     if n < 3:
-        return True, f"formula {lhs} == oracle {rhs}"
+        return True, f"formula {lhs} == oracle {rhs}{note}"
     cases = rank2_case_decomposition_oracle(n, field, budget=budget, threads=threads)
     expected = rank2_case_formulas(n, field.q)
     if cases != expected or sum(cases) != rhs:
         return False, (
             f"case split oracle {cases} vs formulas {expected}, total {rhs}"
         )
-    return True, f"formula {lhs} == oracle {rhs}; case split {cases} matches"
+    return True, f"formula {lhs} == oracle {rhs}{note}; case split {cases} matches"
 
 
 def _check_recurrence(n, field, seed, budget, threads):
@@ -357,7 +392,11 @@ def _cmd_srg(args) -> int:
     budget = _resolve_budget(args)
     threads = _resolve_threads(args)
     field = parse_field(args.field, max_order=budget)
-    report = srg_decide(args.n, field, budget=budget, threads=threads)
+    if args.method == "formula":
+        _check_printable(args.n, field.q, "closed-form srg")
+    report = srg_decide(
+        args.n, field, method=args.method, budget=budget, threads=threads
+    )
     if args.output == "json":
         _print_json(report.to_json_dict())
     else:
@@ -434,11 +473,22 @@ def _cmd_field_info(args) -> int:
 # --- parser and entry point -----------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sub, *, with_n=True, with_threads=True, with_seed=False):
     sub.add_argument("--field", required=True,
                      help="field designation: a prime power like 4, or p^k like 2^2")
     if with_n:
-        sub.add_argument("--n", type=int, required=True, help="matrix side length")
+        sub.add_argument("--n", type=_positive_int, required=True,
+                         help="matrix side length, at least 1")
     sub.add_argument("--budget", type=int, default=None,
                      help=f"max enumeration size (default {DEFAULT_BUDGET}, "
                           f"or ${BUDGET_ENV_VAR})")
@@ -481,6 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("srg", help="decide strong regularity at (n, q)")
     _add_common(p)
+    p.add_argument("--method", choices=SRG_METHODS, default="formula",
+                   help="'formula' (the default) takes every count from the "
+                        "closed forms, which cover every rank, with no scan; "
+                        "'oracle' takes them from n + 1 full-space scans, "
+                        "bounded by --budget and split over --threads")
     p.set_defaults(func=_cmd_srg)
 
     p = subs.add_parser("graph-build", help="materialize a tiny graph and "

@@ -11,13 +11,23 @@ DEFAULT_BUDGET = 1 << 26
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured budget."""
 
-    def __init__(self, required: int, budget: int, what: str = "enumeration"):
+    def __init__(
+        self,
+        required: int,
+        budget: int,
+        what: str = "enumeration",
+        *,
+        unit: str = "items",
+        remedy: str | None = None,
+    ):
         self.required = required
         self.budget = budget
         self.what = what
+        if remedy is None:
+            remedy = f"rerun with a budget of at least {required}"
         super().__init__(
-            f"{what} requires {required} items but the budget is {budget}; "
-            f"rerun with a budget of at least {required}"
+            f"{what} requires {required} {unit} but the budget is {budget}; "
+            f"{remedy}"
         )
 
 

@@ -15,7 +15,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .census import gl_order, intersection_count_oracle, srg_parameters_n2
+from .census import (
+    gl_order,
+    intersection_count_formula,
+    intersection_count_oracle,
+    srg_parameters_n2,
+)
 from .errors import BudgetExceededError, DEFAULT_BUDGET, check_budget
 from .fields import FieldSpec
 from .matrices import Matrix, _det_flat, _iter_flat, matrix_space_size, scan_space
@@ -183,27 +188,55 @@ class SrgReport:
         return doc
 
 
+SRG_METHODS = ("formula", "oracle")
+
+
 def srg_decide(
-    n: int, field: FieldSpec, *, budget: int | None = None, threads: int = 1
+    n: int,
+    field: FieldSpec,
+    *,
+    method: str = "formula",
+    budget: int | None = None,
+    threads: int = 1,
 ) -> SrgReport:
     """Decide strong regularity of the unitary Cayley graph of M_n(GF(q)).
 
-    All counts come from enumeration oracles over canonical rank
-    representatives: lambda from the full-rank shift, mu per rank class
-    r = 1..n-1 from diag(I_r, 0) against the zero vertex.  For n = 2 the
-    oracle-measured parameters are checked against the closed-form tuple; a
-    mismatch raises RuntimeError.  Complete graphs (n = 1) are reported as
-    not strongly regular by convention.
+    Lambda is the count for the full-rank shift diag(I_n) and mu for rank
+    class r = 1..n-1 the count for diag(I_r, 0), both against the zero
+    vertex.  method="formula" takes every count from
+    intersection_count_formula, which has a closed form for every rank, and
+    does no enumeration.  method="oracle" takes them from n + 1 full-space
+    scans (a degree scan checked against gl_order, then one per rank); the
+    budget is charged for all of them before the first starts.  For n = 2 the
+    parameters are checked against the paper's closed-form tuple on both
+    paths; a mismatch raises RuntimeError.  Complete graphs (n = 1) are
+    reported as not strongly regular by convention.
     """
     q = field.q
     order = matrix_space_size(n, field)
     degree = gl_order(n, q)
-    scanned = intersection_count_oracle(0, n, field, budget=budget, threads=threads)
-    if scanned != degree:
-        raise RuntimeError(
-            f"degree scan {scanned} disagrees with closed form {degree}"
+    if method == "formula":
+        def count(r):
+            return intersection_count_formula(r, n, q)
+    elif method == "oracle":
+        check_budget(
+            (n + 1) * order, budget,
+            f"{n + 1} oracle scans over M_{n}({field!r})",
         )
-    lam = intersection_count_oracle(n, n, field, budget=budget, threads=threads)
+
+        def count(r):
+            return intersection_count_oracle(
+                r, n, field, budget=budget, threads=threads
+            )
+
+        scanned = count(0)
+        if scanned != degree:
+            raise RuntimeError(
+                f"degree scan {scanned} disagrees with closed form {degree}"
+            )
+    else:
+        raise ValueError(f"method must be one of {SRG_METHODS}, got {method!r}")
+    lam = count(n)
     if n == 1:
         return SrgReport(
             n=n, q=q, order=order, degree=degree, lam=lam,
@@ -212,10 +245,7 @@ def srg_decide(
                  "non-adjacent condition is vacuous and the graph is "
                  "excluded by convention",
         )
-    mu_by_rank = {
-        r: intersection_count_oracle(r, n, field, budget=budget, threads=threads)
-        for r in range(1, n)
-    }
+    mu_by_rank = {r: count(r) for r in range(1, n)}
     is_srg = len(set(mu_by_rank.values())) == 1
     parameters = None
     witness = None

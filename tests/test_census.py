@@ -19,6 +19,7 @@ from unicayley import (
     rank2_intersection_formula,
     srg_parameters_n2,
 )
+from unicayley.census import shifted_count_recursion
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -131,10 +132,44 @@ def test_intersection_formula_dispatch():
     assert intersection_count_formula(3, 3, 2) == derangements_formula(3, 2)
     assert intersection_count_formula(1, 3, 2) == 72
     assert intersection_count_formula(2, 3, 2) == 56
-    with pytest.raises(ValueError, match="closed form"):
-        intersection_count_formula(3, 4, 2)
+    assert intersection_count_formula(3, 4, 2) == 6208  # the oracle's count
     with pytest.raises(ValueError):
         intersection_count_formula(5, 4, 2)
+    with pytest.raises(ValueError):
+        intersection_count_formula(1, 3, 6)
+
+
+@pytest.mark.parametrize("n,field", [(2, F2), (2, F3), (2, F4), (3, F2), (3, F3)])
+def test_intersection_formula_matches_oracle_every_rank(n, field):
+    for r in range(n + 1):
+        assert intersection_count_formula(r, n, field.q) == intersection_count_oracle(
+            r, n, field
+        )
+
+
+def test_recursion_polynomial_identities():
+    # Both sides of each identity are polynomials in q of degree <= n^2, so
+    # agreeing at the n^2 + 1 integers q = 2..n^2 + 2 proves them for every
+    # q, prime power or not.  The unchecked forms accept any integer q.
+    gl = gl_order.__wrapped__
+    rank1 = rank1_intersection_formula.__wrapped__
+    rank2 = rank2_intersection_formula.__wrapped__
+    for n in range(3, 9):
+        for q in range(2, n * n + 3):
+            mu1 = shifted_count_recursion(n, 1, q)
+            mu2 = shifted_count_recursion(n, 2, q)
+            assert shifted_count_recursion(n, 0, q) == gl(n, q)
+            assert mu1 == rank1(n, q)
+            assert mu2 == rank2(n, q)
+            assert shifted_count_recursion(n, n, q) == derangements_formula(n, q)
+            # the paper's n >= 3 claim: mu_1 - mu_2 factors into terms that
+            # are positive for every q >= 2, so mu_1 != mu_2
+            lead = q ** (n - 1) - q ** (n - 2) - 1
+            tail = 1
+            for k in range(2, n):
+                tail *= q ** n - q ** k
+            assert mu1 - mu2 == q ** (n - 1) * lead * tail
+            assert lead > 0 and tail > 0
 
 
 def test_intersection_oracle_full_rank_is_derangement_count():

@@ -1,6 +1,8 @@
 """CLI integration: every command, every exit code, byte-level determinism."""
 
 import json
+import sys
+import time
 
 import pytest
 
@@ -113,13 +115,71 @@ def test_census_bad_rank(capsys):
     assert "rank" in err
 
 
-def test_census_formula_without_closed_form(capsys):
-    code, _, err = run_cli(
+def test_census_formula_every_rank_n4(capsys):
+    code, out, _ = run_cli(
         capsys, "census", "--n", "4", "--field", "2",
-        "--rank", "3", "--method", "formula",
+        "--method", "formula", "--output", "json",
     )
+    assert code == 0
+    counts = [rec["count"] for rec in json.loads(out)["records"]]
+    assert counts == ["20160", "9408", "7104", "6208", "5824"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["srg", "--n", "80", "--field", "7"],
+    ["srg", "--n", "80", "--field", "7", "--output", "json"],
+    ["census", "--n", "80", "--field", "7", "--method", "formula", "--rank", "1"],
+    ["census", "--n", "80", "--field", "7", "--method", "formula", "--rank", "1",
+     "--output", "json"],
+    ["census", "--n", "120", "--field", "2", "--method", "both", "--rank", "0"],
+])
+def test_counts_too_long_to_print_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "decimal digits" in err
+
+
+def test_largest_printable_counts_are_accepted(capsys):
+    code, out, _ = run_cli(capsys, "srg", "--n", "30", "--field", "7", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["is_srg"] is False
+    # 2^(119^2) has 4263 digits, 2^(120^2) (refused above) has 4335
+    code, _, _ = run_cli(capsys, "census", "--n", "119", "--field", "2",
+                         "--method", "formula", "--rank", "0")
+    assert code == 0
+
+
+def test_digit_limit_follows_the_interpreter(capsys, monkeypatch):
+    argv = ["srg", "--n", "80", "--field", "7", "--output", "json"]
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(6000)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["order"] == 7 ** 6400
+    finally:
+        sys.set_int_max_str_digits(old)
+    # a limit of 0 switches the interpreter's check off; 4300 still applies
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 3
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["census", "--field", "2"],
+    ["census", "--field", "2", "--method", "oracle"],
+    ["verify", "--field", "2", "--check", "all"],
+    ["srg", "--field", "2"],
+    ["graph-build", "--field", "2"],
+])
+def test_matrix_side_below_one_is_a_usage_error(capsys, argv, n):
+    code, out, err = run_cli(capsys, *argv, "--n", n)
     assert code == 2
-    assert "closed form" in err
+    assert out == ""
+    assert "--n" in err
+    assert "Traceback" not in err
 
 
 def test_census_bad_matrix_literal(capsys):
@@ -206,6 +266,18 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "-1" in out and "2" in out  # both sides of the disagreement
 
 
+@pytest.mark.parametrize("check", ["rank1-count", "rank2-count"])
+def test_verify_checks_the_recursion_against_the_paper(capsys, monkeypatch, check):
+    monkeypatch.setattr(
+        "unicayley.cli.intersection_count_formula", lambda r, n, q: -7
+    )
+    code, out, _ = run_cli(
+        capsys, "verify", "--check", check, "--n", "3", "--field", "2",
+    )
+    assert code == 1
+    assert "recursion gives -7" in out
+
+
 def test_srg_json_verdicts(capsys):
     code, out, _ = run_cli(
         capsys, "srg", "--n", "2", "--field", "3", "--output", "json",
@@ -254,8 +326,33 @@ def test_budget_exit_code_and_diagnostic(capsys):
     assert code == 3
     assert "19683" in err  # diagnostic names the required budget
 
-    code, _, _ = run_cli(capsys, "srg", "--n", "2", "--field", "2", "--budget", "10")
+    code, _, _ = run_cli(
+        capsys, "srg", "--n", "2", "--field", "2", "--method", "oracle",
+        "--budget", "10",
+    )
     assert code == 3
+
+
+def test_srg_oracle_budget_counts_all_scans(capsys):
+    # 2^25 matrices fit the default budget of 2^26 once, but not six times
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "srg", "--method", "oracle", "--n", "5", "--field", "2")
+    assert code == 3
+    assert time.perf_counter() - start < 1
+    assert str(6 * 2 ** 25) in err
+
+
+def test_srg_methods_print_the_same_report(capsys):
+    outputs = set()
+    for method in ("formula", "oracle"):
+        for fmt in ("json", "text"):
+            code, out, _ = run_cli(
+                capsys, "srg", "--n", "3", "--field", "2", "--method", method,
+                "--output", fmt,
+            )
+            assert code == 0
+            outputs.add((fmt, out))
+    assert len(outputs) == 2
 
 
 def test_budget_env_var(capsys, monkeypatch):

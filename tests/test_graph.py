@@ -123,8 +123,9 @@ def test_regularity_check_modes():
         regularity_check(3, F3, "exhaustive")
 
 
-def test_srg_decide_n2():
-    report = srg_decide(2, F2)
+@pytest.mark.parametrize("method", ["formula", "oracle"])
+def test_srg_decide_n2(method):
+    report = srg_decide(2, F2, method=method)
     assert report.is_srg
     assert report.parameters == (16, 6, 2, 2)
     assert report.order == 16
@@ -133,13 +134,14 @@ def test_srg_decide_n2():
     assert report.mu_by_rank == {1: 2}
     assert report.witness is None
 
-    report3 = srg_decide(2, F3)
+    report3 = srg_decide(2, F3, method=method)
     assert report3.is_srg
     assert report3.parameters == (81, 48, 27, 30)
 
 
-def test_srg_decide_n3_not_srg():
-    report = srg_decide(3, F2)
+@pytest.mark.parametrize("method", ["formula", "oracle"])
+def test_srg_decide_n3_not_srg(method):
+    report = srg_decide(3, F2, method=method)
     assert not report.is_srg
     assert report.parameters is None
     assert report.mu_by_rank == {1: 72, 2: 56}
@@ -181,7 +183,27 @@ def test_srg_report_json_schema():
 
 def test_srg_budget_refusal():
     with pytest.raises(BudgetExceededError):
-        srg_decide(3, F3, budget=500)
+        srg_decide(3, F3, method="oracle", budget=500)
+
+
+def test_srg_oracle_budget_counts_every_scan():
+    # each of the 4 scans fits in the budget, but together they do not
+    size = matrix_space_size(3, F2)
+    with pytest.raises(BudgetExceededError) as exc:
+        srg_decide(3, F2, method="oracle", budget=3 * size)
+    assert exc.value.required == 4 * size
+    assert srg_decide(3, F2, method="oracle", budget=4 * size).lam == 48
+
+
+def test_srg_formula_needs_no_budget():
+    report = srg_decide(4, F2, budget=1)
+    assert report.mu_by_rank == {1: 9408, 2: 7104, 3: 6208}
+    assert report.witness.counts == (9408, 7104)
+
+
+def test_srg_decide_rejects_unknown_method():
+    with pytest.raises(ValueError, match="method"):
+        srg_decide(2, F2, method="both")
 
 
 def test_explicit_build_gf2():
