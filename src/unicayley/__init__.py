@@ -10,7 +10,6 @@ procedure for strong regularity.
 from .census import (
     CensusRecord,
     derangements_formula,
-    derangements_oracle,
     gl_order,
     intersection_count_formula,
     intersection_count_oracle,
@@ -31,7 +30,6 @@ from .graph import (
     common_neighbors_bruteforce,
     common_neighbors_by_rank,
     explicit_graph_build,
-    regularity_check,
     srg_decide,
 )
 from .matrices import (
@@ -43,7 +41,6 @@ from .matrices import (
     index_to_matrix,
     matrix_from_rows,
     matrix_space_size,
-    matrix_to_index,
     parse_matrix,
     rank_factorize,
     singular_shift_criterion,
@@ -69,7 +66,6 @@ __all__ = [
     "common_neighbors_bruteforce",
     "common_neighbors_by_rank",
     "derangements_formula",
-    "derangements_oracle",
     "enumerate_matrices",
     "explicit_graph_build",
     "gl_order",
@@ -81,14 +77,12 @@ __all__ = [
     "make_field",
     "matrix_from_rows",
     "matrix_space_size",
-    "matrix_to_index",
     "parse_matrix",
     "rank1_intersection_formula",
     "rank2_case_decomposition_oracle",
     "rank2_case_formulas",
     "rank2_intersection_formula",
     "rank_factorize",
-    "regularity_check",
     "singular_shift_criterion",
     "srg_decide",
     "srg_parameters_n2",

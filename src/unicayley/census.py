@@ -189,20 +189,12 @@ def srg_parameters_n2(q: int) -> tuple[int, int, int, int]:
 # --- enumeration oracles --------------------------------------------------------
 
 
-def derangements_oracle(
-    n: int, field: FieldSpec, *, budget: int | None = None, threads: int = 1
-) -> int:
-    """Count linear derangements by scanning all of M_n."""
-    return intersection_count_oracle(n, n, field, budget=budget, threads=threads)
-
-
 def intersection_count_oracle(
     r: int,
     n: int,
     field: FieldSpec,
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> int:
     """Count invertible M with M - diag(I_r, 0) invertible, by full enumeration.
 
@@ -224,7 +216,7 @@ def intersection_count_oracle(
 
     return scan_space(
         n, field, classify, 1,
-        budget=budget, threads=threads,
+        budget=budget,
         what=f"rank-{r} intersection oracle over M_{n}({field!r})",
     )[0]
 
@@ -234,7 +226,6 @@ def rank2_case_decomposition_oracle(
     field: FieldSpec,
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> tuple[int, int, int]:
     """Case totals (rank 2, rank 0, rank 1) behind the rank-2 count, n >= 3.
 
@@ -266,7 +257,7 @@ def rank2_case_decomposition_oracle(
 
     cases = scan_space(
         n, field, classify, 3,
-        budget=budget, threads=threads,
+        budget=budget,
         what=f"rank-2 case decomposition over M_{n}({field!r})",
     )
     return cases[0], cases[1], cases[2]

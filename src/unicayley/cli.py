@@ -4,7 +4,7 @@ Exit codes: 0 success (an SRG verdict of "no" is still success), 1 a
 verification check failed, 2 usage error, 3 budget exceeded (an enumeration
 too large, or closed-form counts too long to print).
 JSON output is deterministic: identical flags (including --seed) produce
-byte-identical documents regardless of --threads.
+byte-identical documents.
 """
 
 from __future__ import annotations
@@ -101,19 +101,6 @@ def _resolve_budget(args) -> int:
     return DEFAULT_BUDGET
 
 
-def _resolve_threads(args) -> int:
-    t = args.threads
-    if t == "auto":
-        return os.cpu_count() or 1
-    try:
-        value = int(t)
-    except ValueError:
-        raise UsageError(f"--threads takes an integer or 'auto', got {t!r}") from None
-    if value < 1:
-        raise UsageError("--threads must be >= 1")
-    return value
-
-
 # Python's own default for sys.get_int_max_str_digits(), used when the
 # interpreter's limit is switched off (0).
 DEFAULT_MAX_STR_DIGITS = 4300
@@ -147,7 +134,7 @@ def _print_json(doc) -> None:
 # --- census -------------------------------------------------------------------
 
 
-def _census_records(args, n, field, budget, threads):
+def _census_records(args, n, field, budget):
     """Build (records, agrees_by_rank, pair_info) for the census command."""
     q = field.q
     method = args.method
@@ -175,9 +162,7 @@ def _census_records(args, n, field, budget, threads):
         if method in ("formula", "both"):
             counts["formula"] = intersection_count_formula(r, n, q)
         if method in ("oracle", "both"):
-            counts["oracle"] = common_neighbors_bruteforce(
-                a, b, budget=budget, threads=threads
-            )
+            counts["oracle"] = common_neighbors_bruteforce(a, b, budget=budget)
         for m in ("formula", "oracle"):
             if m in counts:
                 records.append(CensusRecord(n, q, r, m, counts[m]))
@@ -201,9 +186,7 @@ def _census_records(args, n, field, budget, threads):
         if method in ("formula", "both"):
             counts["formula"] = intersection_count_formula(r, n, q)
         if method in ("oracle", "both"):
-            counts["oracle"] = intersection_count_oracle(
-                r, n, field, budget=budget, threads=threads
-            )
+            counts["oracle"] = intersection_count_oracle(r, n, field, budget=budget)
         for m in ("formula", "oracle"):
             if m in counts:
                 records.append(CensusRecord(n, q, r, m, counts[m]))
@@ -214,10 +197,9 @@ def _census_records(args, n, field, budget, threads):
 
 def _cmd_census(args) -> int:
     budget = _resolve_budget(args)
-    threads = _resolve_threads(args)
     field = parse_field(args.field, max_order=budget)
     n = args.n
-    records, agrees, pair_info = _census_records(args, n, field, budget, threads)
+    records, agrees, pair_info = _census_records(args, n, field, budget)
 
     if args.output == "json":
         doc = {
@@ -255,7 +237,7 @@ def _cmd_census(args) -> int:
 # --- verify -------------------------------------------------------------------
 
 
-def _check_rank1_singularity(n, field, seed, budget, threads):
+def _check_rank1_singularity(n, field, seed, budget):
     e11 = canonical_rank_matrix(n, 1, field)
     mismatches = 0
     first = None
@@ -284,24 +266,24 @@ def _recursion_note(r, n, q, paper):
     return False, f"; recursion gives {rec}"
 
 
-def _check_rank1_count(n, field, seed, budget, threads):
+def _check_rank1_count(n, field, seed, budget):
     lhs = rank1_intersection_formula(n, field.q)
-    rhs = intersection_count_oracle(1, n, field, budget=budget, threads=threads)
+    rhs = intersection_count_oracle(1, n, field, budget=budget)
     rec_ok, note = _recursion_note(1, n, field.q, lhs)
     return lhs == rhs and rec_ok, f"formula {lhs} vs oracle {rhs}{note}"
 
 
-def _check_rank2_count(n, field, seed, budget, threads):
+def _check_rank2_count(n, field, seed, budget):
     if n < 2:
         raise UsageError("the rank-2 count needs n >= 2")
     lhs = rank2_intersection_formula(n, field.q)
-    rhs = intersection_count_oracle(2, n, field, budget=budget, threads=threads)
+    rhs = intersection_count_oracle(2, n, field, budget=budget)
     rec_ok, note = _recursion_note(2, n, field.q, lhs)
     if lhs != rhs or not rec_ok:
         return False, f"formula {lhs} vs oracle {rhs}{note}"
     if n < 3:
         return True, f"formula {lhs} == oracle {rhs}{note}"
-    cases = rank2_case_decomposition_oracle(n, field, budget=budget, threads=threads)
+    cases = rank2_case_decomposition_oracle(n, field, budget=budget)
     expected = rank2_case_formulas(n, field.q)
     if cases != expected or sum(cases) != rhs:
         return False, (
@@ -310,7 +292,7 @@ def _check_rank2_count(n, field, seed, budget, threads):
     return True, f"formula {lhs} == oracle {rhs}{note}; case split {cases} matches"
 
 
-def _check_recurrence(n, field, seed, budget, threads):
+def _check_recurrence(n, field, seed, budget):
     q = field.q
     for i in range(1, max(n, 1) + 1):
         lhs = derangements_formula(i, q)
@@ -323,7 +305,7 @@ def _check_recurrence(n, field, seed, budget, threads):
     return True, f"recurrence steps 1..{max(n, 1)} hold"
 
 
-def _check_rank_reduction(n, field, seed, budget, threads):
+def _check_rank_reduction(n, field, seed, budget):
     size = matrix_space_size(n, field)
     rng = random.Random(seed)
     for trial in range(RANK_REDUCTION_SAMPLES):
@@ -333,8 +315,8 @@ def _check_rank_reduction(n, field, seed, budget, threads):
             j += 1
         a = index_to_matrix(i, n, field)
         b = index_to_matrix(j, n, field)
-        brute = common_neighbors_bruteforce(a, b, budget=budget, threads=threads)
-        reduced = common_neighbors_by_rank(a, b, budget=budget, threads=threads)
+        brute = common_neighbors_bruteforce(a, b, budget=budget)
+        reduced = common_neighbors_by_rank(a, b)
         if brute != reduced:
             return False, (
                 f"trial {trial}: pair ({a.to_literal()}, {b.to_literal()}) "
@@ -354,7 +336,6 @@ _CHECKS = {
 
 def _cmd_verify(args) -> int:
     budget = _resolve_budget(args)
-    threads = _resolve_threads(args)
     field = parse_field(args.field, max_order=budget)
     n = args.n
     if args.check == "all":
@@ -363,7 +344,7 @@ def _cmd_verify(args) -> int:
         names = [args.check]
     results = []
     for name in names:
-        passed, detail = _CHECKS[name](n, field, args.seed, budget, threads)
+        passed, detail = _CHECKS[name](n, field, args.seed, budget)
         results.append({"check": name, "pass": passed, "detail": detail})
     all_pass = all(r["pass"] for r in results)
 
@@ -390,13 +371,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_srg(args) -> int:
     budget = _resolve_budget(args)
-    threads = _resolve_threads(args)
     field = parse_field(args.field, max_order=budget)
     if args.method == "formula":
         _check_printable(args.n, field.q, "closed-form srg")
-    report = srg_decide(
-        args.n, field, method=args.method, budget=budget, threads=threads
-    )
+    report = srg_decide(args.n, field, method=args.method, budget=budget)
     if args.output == "json":
         _print_json(report.to_json_dict())
     else:
@@ -483,7 +461,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(sub, *, with_n=True, with_threads=True, with_seed=False):
+def _add_common(sub, *, with_n=True, with_seed=False):
     sub.add_argument("--field", required=True,
                      help="field designation: a prime power like 4, or p^k like 2^2")
     if with_n:
@@ -492,9 +470,6 @@ def _add_common(sub, *, with_n=True, with_threads=True, with_seed=False):
     sub.add_argument("--budget", type=int, default=None,
                      help=f"max enumeration size (default {DEFAULT_BUDGET}, "
                           f"or ${BUDGET_ENV_VAR})")
-    if with_threads:
-        sub.add_argument("--threads", default="auto",
-                         help="worker count for oracle scans, or 'auto'")
     if with_seed:
         sub.add_argument("--seed", type=int, default=0,
                          help="seed for sampled checks")
@@ -510,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("field-info", help="show a field's construction")
-    _add_common(p, with_n=False, with_threads=False)
+    _add_common(p, with_n=False)
     p.set_defaults(func=_cmd_field_info)
 
     p = subs.add_parser("census", help="closed-form and oracle counts by rank")
@@ -535,12 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'formula' (the default) takes every count from the "
                         "closed forms, which cover every rank, with no scan; "
                         "'oracle' takes them from n + 1 full-space scans, "
-                        "bounded by --budget and split over --threads")
+                        "bounded by --budget")
     p.set_defaults(func=_cmd_srg)
 
     p = subs.add_parser("graph-build", help="materialize a tiny graph and "
                                             "re-check strong regularity pairwise")
-    _add_common(p, with_threads=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_graph_build)
 
     return parser

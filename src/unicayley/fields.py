@@ -141,8 +141,8 @@ def poly_text(coeffs: tuple[int, ...] | list[int]) -> str:
 class FieldSpec:
     """A finite field GF(p^k) operating on integer element codes in [0, q).
 
-    Immutable after construction; all operations are pure, so instances are
-    safe to share across threads.  When q <= TABLE_LIMIT the instance carries
+    Immutable after construction; all operations are pure, so instances may
+    be shared freely.  When q <= TABLE_LIMIT the instance carries
     add/sub/mul/neg/inv lookup tables, which hot loops may index directly.
     """
 

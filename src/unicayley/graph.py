@@ -12,7 +12,6 @@ re-derives the verdict from scratch, pair by pair, as an independent check.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .census import (
@@ -37,7 +36,7 @@ def adjacent(a: Matrix, b: Matrix) -> bool:
 
 
 def common_neighbors_bruteforce(
-    a: Matrix, b: Matrix, *, budget: int | None = None, threads: int = 1
+    a: Matrix, b: Matrix, *, budget: int | None = None
 ) -> int:
     """Count vertices adjacent to both a and b by scanning the whole space."""
     a._same_space(b)
@@ -65,80 +64,21 @@ def common_neighbors_bruteforce(
 
     return scan_space(
         n, field, classify, 1,
-        budget=budget, threads=threads,
+        budget=budget,
         what=f"common-neighbor scan over M_{n}({field!r})",
     )[0]
 
 
-def common_neighbors_by_rank(
-    a: Matrix, b: Matrix, *, budget: int | None = None, threads: int = 1
-) -> int:
+def common_neighbors_by_rank(a: Matrix, b: Matrix) -> int:
     """Common-neighbor count via the rank-class reduction.
 
-    Computes r = rank(a - b) and returns the shifted-intersection count for
-    the canonical representative diag(I_r, 0); equals the brute-force count
-    for every distinct pair.
+    Computes r = rank(a - b) and returns the closed-form shifted-intersection
+    count for the canonical representative diag(I_r, 0); equals the
+    brute-force count for every pair, and a == b gives rank 0, the degree.
     """
     a._same_space(b)
-    if a == b:
-        raise ValueError("common_neighbors_by_rank needs two distinct vertices")
     r = (a - b).rank()
-    return intersection_count_oracle(r, a.n, a.field, budget=budget, threads=threads)
-
-
-def _degree_of_index(idx: int, n: int, field: FieldSpec) -> int:
-    v = []
-    q = field.q
-    for _ in range(n * n):
-        idx, d = divmod(idx, q)
-        v.append(d)
-    sub = field.sub_table
-    count = 0
-    if sub is not None:
-        for flat in _iter_flat(n, field):
-            diff = [sub[x][y] for x, y in zip(flat, v)]
-            if _det_flat(diff, n, field) != 0:
-                count += 1
-    else:
-        fsub = field.sub
-        for flat in _iter_flat(n, field):
-            diff = [fsub(x, y) for x, y in zip(flat, v)]
-            if _det_flat(diff, n, field) != 0:
-                count += 1
-    return count
-
-
-def regularity_check(
-    n: int,
-    field: FieldSpec,
-    mode: str = "single_vertex",
-    *,
-    seed: int | None = None,
-    samples: int = 32,
-    budget: int | None = None,
-) -> tuple[int, bool]:
-    """Measure vertex degrees; returns (degree, uniform).
-
-    Modes: "single_vertex" scans one vertex (translation by -A is an
-    adjacency-preserving bijection, so one vertex decides regularity),
-    "sampled" scans seeded random vertices, "exhaustive" scans all of them.
-    """
-    size = matrix_space_size(n, field)
-    if mode == "single_vertex":
-        check_budget(size, budget, "single-vertex degree scan")
-        return _degree_of_index(0, n, field), True
-    if mode == "sampled":
-        check_budget(size * samples, budget, "sampled degree scan")
-        rng = random.Random(seed)
-        degrees = {
-            _degree_of_index(rng.randrange(size), n, field) for _ in range(samples)
-        }
-        return max(degrees), len(degrees) == 1
-    if mode == "exhaustive":
-        check_budget(size * size, budget, "exhaustive pairwise degree scan")
-        degrees = {_degree_of_index(i, n, field) for i in range(size)}
-        return max(degrees), len(degrees) == 1
-    raise ValueError(f"unknown regularity mode {mode!r}")
+    return intersection_count_formula(r, a.n, a.field.q)
 
 
 @dataclass(frozen=True)
@@ -197,7 +137,6 @@ def srg_decide(
     *,
     method: str = "formula",
     budget: int | None = None,
-    threads: int = 1,
 ) -> SrgReport:
     """Decide strong regularity of the unitary Cayley graph of M_n(GF(q)).
 
@@ -225,9 +164,7 @@ def srg_decide(
         )
 
         def count(r):
-            return intersection_count_oracle(
-                r, n, field, budget=budget, threads=threads
-            )
+            return intersection_count_oracle(r, n, field, budget=budget)
 
         scanned = count(0)
         if scanned != degree:
@@ -347,13 +284,21 @@ def explicit_graph_build(
     """Materialize the full adjacency relation for a tiny matrix space.
 
     Neighbors of A are exactly A + U over invertible U, so the build walks
-    the invertible set once per vertex.  Refuses spaces above the vertex cap.
+    the invertible set once per vertex.  Refuses spaces above the vertex cap,
+    and charges the budget order * |GL_n(q)| vertex-unit pairs, the work of
+    that walk, before the first vertex.
     """
     order = matrix_space_size(n, field)
-    cap = min(DEFAULT_BUDGET if budget is None else budget, HARD_VERTEX_CAP)
+    limit = DEFAULT_BUDGET if budget is None else budget
+    cap = min(limit, HARD_VERTEX_CAP)
     if order > cap:
         raise BudgetExceededError(order, cap, what="explicit graph build (vertices)")
     q = field.q
+    pairs = order * gl_order(n, q)
+    if pairs > limit:
+        raise BudgetExceededError(
+            pairs, limit, what="explicit graph build", unit="vertex-unit pairs"
+        )
     m = n * n
     units = [
         flat for flat in _iter_flat(n, field) if _det_flat(flat, n, field) != 0

@@ -8,7 +8,6 @@ is the least significant base-q digit).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -408,69 +407,22 @@ def index_to_matrix(i: int, n: int, field: FieldSpec) -> Matrix:
     return Matrix._wrap(n, tuple(flat), field)
 
 
-def matrix_to_index(a: Matrix) -> int:
-    return a.index()
+def _iter_flat(n: int, field: FieldSpec):
+    """Yield flat entry tuples in ascending index order."""
+    # itertools.product counts with its leftmost slot most significant;
+    # reversing each tuple restores the row-major digit convention.
+    for t in product(range(field.q), repeat=n * n):
+        yield t[::-1]
 
 
-def _iter_flat(n: int, field: FieldSpec, start: int = 0, stop: int | None = None):
-    """Yield flat entry tuples in ascending index order over [start, stop)."""
-    size = matrix_space_size(n, field)
-    stop = size if stop is None else stop
-    if not 0 <= start <= stop <= size:
-        raise ValueError(f"bad enumeration range [{start}, {stop}) for size {size}")
-    q = field.q
-    m = n * n
-    if start == 0 and stop == size:
-        # itertools.product counts with its leftmost slot most significant;
-        # reversing each tuple restores the row-major digit convention.
-        for t in product(range(q), repeat=m):
-            yield t[::-1]
-        return
-    digits = []
-    i = start
-    for _ in range(m):
-        i, d = divmod(i, q)
-        digits.append(d)
-    top = q - 1
-    for _ in range(stop - start):
-        yield tuple(digits)
-        pos = 0
-        while pos < m and digits[pos] == top:
-            digits[pos] = 0
-            pos += 1
-        if pos < m:
-            digits[pos] += 1
-
-
-def enumerate_matrices(
-    n: int,
-    field: FieldSpec,
-    start: int = 0,
-    stop: int | None = None,
-    *,
-    budget: int | None = None,
-):
+def enumerate_matrices(n: int, field: FieldSpec, *, budget: int | None = None):
     """Iterate every matrix of the space exactly once, in ascending index order.
 
-    Supports sub-range iteration over [start, stop) so independent workers can
-    partition the space.  Budget and range problems raise eagerly, before the
-    first matrix is produced.
+    A budget problem raises eagerly, before the first matrix is produced.
     """
     size = matrix_space_size(n, field)
     check_budget(size, budget, f"enumeration of {size} matrices")
-    stop = size if stop is None else stop
-    if not 0 <= start <= stop <= size:
-        raise ValueError(f"bad enumeration range [{start}, {stop}) for size {size}")
-    return (Matrix._wrap(n, flat, field) for flat in _iter_flat(n, field, start, stop))
-
-
-def _tally_range(n, field, classify, bins, lo, hi):
-    out = [0] * bins
-    for flat in _iter_flat(n, field, lo, hi):
-        b = classify(flat)
-        if b >= 0:
-            out[b] += 1
-    return out
+    return (Matrix._wrap(n, flat, field) for flat in _iter_flat(n, field))
 
 
 def scan_space(
@@ -480,27 +432,16 @@ def scan_space(
     bins: int,
     *,
     budget: int | None = None,
-    threads: int = 1,
     what: str = "matrix-space scan",
 ) -> list[int]:
     """Tally classify(flat_entries) over the whole matrix space.
 
-    classify returns a bin in [0, bins) or -1 to skip the matrix.  The space
-    is split into contiguous index ranges whose tallies merge by addition, so
-    the result does not depend on the thread count.
+    classify returns a bin in [0, bins) or -1 to skip the matrix.
     """
-    size = matrix_space_size(n, field)
-    check_budget(size, budget, what)
-    if threads <= 1 or size < 4 * threads:
-        return _tally_range(n, field, classify, bins, 0, size)
-    step = -(-size // threads)
-    ranges = [(lo, min(lo + step, size)) for lo in range(0, size, step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(
-            pool.map(lambda r: _tally_range(n, field, classify, bins, r[0], r[1]), ranges)
-        )
+    check_budget(matrix_space_size(n, field), budget, what)
     totals = [0] * bins
-    for part in partials:
-        for i, v in enumerate(part):
-            totals[i] += v
+    for flat in _iter_flat(n, field):
+        b = classify(flat)
+        if b >= 0:
+            totals[b] += 1
     return totals

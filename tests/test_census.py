@@ -8,7 +8,6 @@ from unicayley import (
     BudgetExceededError,
     CensusRecord,
     derangements_formula,
-    derangements_oracle,
     gl_order,
     intersection_count_formula,
     intersection_count_oracle,
@@ -66,7 +65,7 @@ def test_derangements_formula_base_cases():
     [(1, F2), (1, F3), (2, F2), (2, F3), (2, F4), (3, F2)],
 )
 def test_derangements_formula_matches_oracle(n, field):
-    assert derangements_formula(n, field.q) == derangements_oracle(n, field)
+    assert derangements_formula(n, field.q) == intersection_count_oracle(n, n, field)
 
 
 def test_derangements_formula_rejects_negative_n():
@@ -173,21 +172,21 @@ def test_recursion_polynomial_identities():
 
 
 def test_intersection_oracle_full_rank_is_derangement_count():
-    assert intersection_count_oracle(2, 2, F3) == derangements_oracle(2, F3)
+    assert intersection_count_oracle(2, 2, F3) == derangements_formula(2, 3)
 
 
 def test_derangement_oracle_agrees_with_matrix_predicate():
     from unicayley import enumerate_matrices
 
     count = sum(m.is_linear_derangement() for m in enumerate_matrices(2, F3))
-    assert count == derangements_oracle(2, F3) == derangements_formula(2, 3)
+    assert count == intersection_count_oracle(2, 2, F3) == derangements_formula(2, 3)
 
 
 @pytest.mark.parametrize("q,field_args", [(5, (5,)), (7, (7,)), (8, (2, 3)), (9, (3, 2))])
 def test_wider_field_sweep_n2(q, field_args):
     field = make_field(*field_args)
     assert rank1_intersection_formula(2, q) == intersection_count_oracle(1, 2, field)
-    assert derangements_formula(2, q) == derangements_oracle(2, field)
+    assert derangements_formula(2, q) == intersection_count_oracle(2, 2, field)
     assert gl_order(2, q) == intersection_count_oracle(0, 2, field)
 
 
@@ -200,7 +199,7 @@ def test_srg_parameters_examples():
     assert srg_parameters_n2(2) == (16, 6, 2, 2)
     # oracle arbitration of the q = 3 tuple: lambda is the derangement count,
     # mu the rank-1 intersection count
-    assert srg_parameters_n2(3) == (81, 48, derangements_oracle(2, F3),
+    assert srg_parameters_n2(3) == (81, 48, intersection_count_oracle(2, 2, F3),
                                     intersection_count_oracle(1, 2, F3))
     assert srg_parameters_n2(3) == (81, 48, 27, 30)
 
@@ -236,19 +235,10 @@ def test_counts_are_exact_big_integers():
 
 def test_oracle_budget_refusal():
     with pytest.raises(BudgetExceededError) as err:
-        derangements_oracle(2, F3, budget=10)
+        intersection_count_oracle(2, 2, F3, budget=10)
     assert err.value.required == 81
     with pytest.raises(BudgetExceededError):
         intersection_count_oracle(1, 3, F3, budget=100)
-
-
-def test_oracle_thread_count_does_not_change_counts():
-    assert intersection_count_oracle(1, 2, F3, threads=1) == intersection_count_oracle(
-        1, 2, F3, threads=4
-    )
-    assert rank2_case_decomposition_oracle(3, F2, threads=1) == (
-        rank2_case_decomposition_oracle(3, F2, threads=3)
-    )
 
 
 def test_census_record_json():

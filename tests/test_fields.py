@@ -3,9 +3,12 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unicayley import BudgetExceededError, is_irreducible, make_field
 from unicayley.fields import TABLE_LIMIT, factor_prime_power, is_prime, poly_text
+
+from helpers import cached_field
 
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
 
@@ -186,6 +189,18 @@ def test_large_field_fallback_paths():
         assert f512.mul(a, f512.inv(a)) == 1
         assert f512.add(a, a) == 0  # characteristic 2
     assert f512.mul(3, 5) == f512.mul(5, 3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 255), st.integers(0, 255))
+def test_gf256_tables_match_raw_arithmetic(a, b):
+    # GF(2^8) is the largest table-backed field; its tables must agree with
+    # the raw arithmetic that fields above TABLE_LIMIT use
+    f = cached_field(2, 8)
+    assert f.q == TABLE_LIMIT
+    assert f.mul_table[a][b] == f._mul_raw(a, b)
+    assert f.add_table[a][b] == f._add_raw(a, b)
+    assert f.sub_table[a][b] == f._sub_raw(a, b)
 
 
 def test_factor_prime_power():

@@ -6,6 +6,7 @@ import pytest
 
 from unicayley import (
     BudgetExceededError,
+    DEFAULT_BUDGET,
     adjacent,
     canonical_rank_matrix,
     common_neighbors_bruteforce,
@@ -18,7 +19,6 @@ from unicayley import (
     intersection_count_oracle,
     make_field,
     matrix_space_size,
-    regularity_check,
     srg_decide,
     zero_matrix,
 )
@@ -84,8 +84,8 @@ def test_common_neighbors_by_rank_examples():
     assert common_neighbors_by_rank(identity_matrix(3, F2), zero) == (
         derangements_formula(3, 2)
     )
-    with pytest.raises(ValueError, match="distinct"):
-        common_neighbors_by_rank(zero, zero)
+    brute = common_neighbors_bruteforce(zero, zero)
+    assert common_neighbors_by_rank(zero, zero) == brute == gl_order(3, 2)
 
 
 def test_rank_class_law_exhaustive_gf2():
@@ -108,19 +108,6 @@ def test_rank_class_law_sampled_gf3_n3():
         a, b = random_distinct_pair(rng, 3, F2)
         r = (a - b).rank()
         assert common_neighbors_bruteforce(a, b) == expected[r]
-
-
-def test_regularity_check_modes():
-    assert regularity_check(2, F2, "exhaustive") == (6, True)
-    assert regularity_check(1, F3, "exhaustive") == (2, True)
-    assert regularity_check(2, F3) == (48, True)
-    deg, uniform = regularity_check(2, F3, "sampled", seed=5, samples=6)
-    assert (deg, uniform) == (48, True)
-    assert regularity_check(2, F3, "sampled", seed=5, samples=6) == (deg, uniform)
-    with pytest.raises(ValueError, match="mode"):
-        regularity_check(2, F2, "bogus")
-    with pytest.raises(BudgetExceededError):
-        regularity_check(3, F3, "exhaustive")
 
 
 @pytest.mark.parametrize("method", ["formula", "oracle"])
@@ -242,6 +229,23 @@ def test_explicit_build_budget_refusal():
         explicit_graph_build(3, F3, budget=100)
     with pytest.raises(BudgetExceededError):
         explicit_graph_build(2, make_field(17))  # 17^4 vertices exceeds the cap
+
+
+def test_explicit_build_charges_vertex_unit_pairs():
+    # 81 vertices fit a budget of 3887, but the walk visits 81 * 48 pairs
+    with pytest.raises(BudgetExceededError) as err:
+        explicit_graph_build(2, F3, budget=3887)
+    assert err.value.required == 81 * gl_order(2, 3) == 3888
+    assert explicit_graph_build(2, F3, budget=3888).order == 81
+    # 2^16 vertices pass the vertex cap; 4.0e9 pairs do not pass the default
+    with pytest.raises(BudgetExceededError) as err:
+        explicit_graph_build(2, make_field(2, 4))
+    assert err.value.required == 16 ** 4 * gl_order(2, 16)
+    # the largest benchmark rung, (2, 7), is charged less than the default
+    with pytest.raises(BudgetExceededError) as err:
+        explicit_graph_build(2, make_field(7), budget=4_840_415)
+    assert err.value.required == 7 ** 4 * gl_order(2, 7) == 4_840_416
+    assert err.value.required <= DEFAULT_BUDGET
 
 
 def test_pairwise_agrees_with_rank_class_decision():
