@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass
 
 from .fields import FieldSpec, factor_prime_power
-from .matrices import _det_flat, scan_space
+from .matrices import _det_flat, canonical_rank_matrix, scan_space
 
 
 def _check_nq(n: int, q: int) -> None:
@@ -189,6 +189,26 @@ def srg_parameters_n2(q: int) -> tuple[int, int, int, int]:
 # --- enumeration oracles --------------------------------------------------------
 
 
+def _shifted_unit_count(d, n: int, field: FieldSpec, budget, what: str) -> int:
+    """Count invertible N with N - d invertible, by full enumeration.
+
+    d is a flat entry tuple; each nonzero entry c of it shifts N through a
+    precomputed row x -> x - c of the field's subtraction.
+    """
+    shifts = [(pos, [field.sub(x, c) for x in range(field.q)])
+              for pos, c in enumerate(d) if c]
+
+    def classify(flat):
+        if _det_flat(flat, n, field) == 0:
+            return -1
+        shifted = list(flat)
+        for pos, row in shifts:
+            shifted[pos] = row[shifted[pos]]
+        return 0 if _det_flat(shifted, n, field) != 0 else -1
+
+    return scan_space(n, field, classify, 1, budget=budget, what=what)[0]
+
+
 def intersection_count_oracle(
     r: int,
     n: int,
@@ -201,24 +221,10 @@ def intersection_count_oracle(
     For r = 0 this degenerates to the invertible-matrix count; for r = n it is
     the linear-derangement count.
     """
-    if not 0 <= r <= n:
-        raise ValueError(f"rank must lie in [0, {n}], got {r}")
-    dec = [field.sub(e, 1) for e in range(field.q)]
-    diag = [i * (n + 1) for i in range(r)]
-
-    def classify(flat):
-        if _det_flat(flat, n, field) == 0:
-            return -1
-        shifted = list(flat)
-        for pos in diag:
-            shifted[pos] = dec[shifted[pos]]
-        return 0 if _det_flat(shifted, n, field) != 0 else -1
-
-    return scan_space(
-        n, field, classify, 1,
-        budget=budget,
-        what=f"rank-{r} intersection oracle over M_{n}({field!r})",
-    )[0]
+    return _shifted_unit_count(
+        canonical_rank_matrix(n, r, field).entries, n, field, budget,
+        f"rank-{r} intersection oracle over M_{n}({field!r})",
+    )
 
 
 def rank2_case_decomposition_oracle(

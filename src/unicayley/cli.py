@@ -27,7 +27,7 @@ from .census import (
     rank2_case_formulas,
     rank2_intersection_formula,
 )
-from .errors import BudgetExceededError, DEFAULT_BUDGET
+from .errors import BudgetExceededError, DEFAULT_BUDGET, check_budget
 from .fields import FieldSpec, factor_prime_power, make_field, poly_text
 from .graph import (
     SRG_METHODS,
@@ -140,10 +140,7 @@ def _census_records(args, n, field, budget):
     method = args.method
     if method != "oracle":
         _check_printable(n, q, "closed-form census")
-    records: list[CensusRecord] = []
-    agrees: dict[int, bool] = {}
     pair_info = None
-
     if args.matrix_a is not None or args.matrix_b is not None:
         if args.matrix_a is None or args.matrix_b is None:
             raise UsageError("pair queries need both --matrix-a and --matrix-b")
@@ -158,35 +155,32 @@ def _census_records(args, n, field, budget):
             raise UsageError(f"matrix literals must be {n}x{n}")
         r = (a - b).rank()
         pair_info = {"matrix_a": a.to_literal(), "matrix_b": b.to_literal(), "rank": r}
-        counts = {}
-        if method in ("formula", "both"):
-            counts["formula"] = intersection_count_formula(r, n, q)
-        if method in ("oracle", "both"):
-            counts["oracle"] = common_neighbors_bruteforce(a, b, budget=budget)
-        for m in ("formula", "oracle"):
-            if m in counts:
-                records.append(CensusRecord(n, q, r, m, counts[m]))
-        if method == "both":
-            agrees[r] = counts["formula"] == counts["oracle"]
-        return records, agrees, pair_info
-
-    if args.rank is None or args.rank == "all":
-        ranks = list(range(n + 1))
+        queries = [(r, lambda: common_neighbors_bruteforce(a, b, budget=budget))]
     else:
-        try:
-            r = int(args.rank)
-        except ValueError:
-            raise UsageError(f"--rank takes an integer or 'all', got {args.rank!r}") from None
-        if not 0 <= r <= n:
-            raise UsageError(f"--rank must lie in [0, {n}], got {r}")
-        ranks = [r]
+        if args.rank is None or args.rank == "all":
+            ranks = list(range(n + 1))
+        else:
+            try:
+                r = int(args.rank)
+            except ValueError:
+                msg = f"--rank takes an integer or 'all', got {args.rank!r}"
+                raise UsageError(msg) from None
+            if not 0 <= r <= n:
+                raise UsageError(f"--rank must lie in [0, {n}], got {r}")
+            ranks = [r]
+        queries = [
+            (r, lambda r=r: intersection_count_oracle(r, n, field, budget=budget))
+            for r in ranks
+        ]
 
-    for r in ranks:
+    records: list[CensusRecord] = []
+    agrees: dict[int, bool] = {}
+    for r, oracle in queries:
         counts = {}
         if method in ("formula", "both"):
             counts["formula"] = intersection_count_formula(r, n, q)
         if method in ("oracle", "both"):
-            counts["oracle"] = intersection_count_oracle(r, n, field, budget=budget)
+            counts["oracle"] = oracle()
         for m in ("formula", "oracle"):
             if m in counts:
                 records.append(CensusRecord(n, q, r, m, counts[m]))
@@ -294,7 +288,7 @@ def _check_rank2_count(n, field, seed, budget):
 
 def _check_recurrence(n, field, seed, budget):
     q = field.q
-    for i in range(1, max(n, 1) + 1):
+    for i in range(1, n + 1):
         lhs = derangements_formula(i, q)
         rhs = (
             derangements_formula(i - 1, q) * (q ** i - 1) * q ** (i - 1)
@@ -302,7 +296,7 @@ def _check_recurrence(n, field, seed, budget):
         )
         if lhs != rhs:
             return False, f"step {i}: {lhs} vs {rhs}"
-    return True, f"recurrence steps 1..{max(n, 1)} hold"
+    return True, f"recurrence steps 1..{n} hold"
 
 
 def _check_rank_reduction(n, field, seed, budget):
@@ -325,12 +319,14 @@ def _check_rank_reduction(n, field, seed, budget):
     return True, f"{RANK_REDUCTION_SAMPLES} sampled pairs agree"
 
 
+# Each check with the number of full-space scans it makes at side n; verify
+# charges their sum against the budget before the first check runs.
 _CHECKS = {
-    "rank1-singularity": _check_rank1_singularity,
-    "rank1-count": _check_rank1_count,
-    "rank2-count": _check_rank2_count,
-    "recurrence": _check_recurrence,
-    "rank-reduction": _check_rank_reduction,
+    "rank1-singularity": (_check_rank1_singularity, lambda n: 1),
+    "rank1-count": (_check_rank1_count, lambda n: 1),
+    "rank2-count": (_check_rank2_count, lambda n: 2 if n >= 3 else 1),
+    "recurrence": (_check_recurrence, lambda n: 0),
+    "rank-reduction": (_check_rank_reduction, lambda n: RANK_REDUCTION_SAMPLES),
 }
 
 
@@ -342,9 +338,14 @@ def _cmd_verify(args) -> int:
         names = [name for name in _CHECKS if name != "rank2-count" or n >= 2]
     else:
         names = [args.check]
+    scans = sum(_CHECKS[name][1](n) for name in names)
+    check_budget(
+        scans * matrix_space_size(n, field), budget,
+        f"{scans} verification scans over M_{n}({field!r})",
+    )
     results = []
     for name in names:
-        passed, detail = _CHECKS[name](n, field, args.seed, budget)
+        passed, detail = _CHECKS[name][0](n, field, args.seed, budget)
         results.append({"check": name, "pass": passed, "detail": detail})
     all_pass = all(r["pass"] for r in results)
 

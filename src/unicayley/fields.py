@@ -6,18 +6,21 @@ significant digit.  Prime fields (k = 1) are integers mod p; extension
 fields reduce polynomials modulo a fixed monic irreducible modulus chosen
 deterministically, so repeated constructions of the same field agree.
 
-Fields of order up to TABLE_LIMIT carry full operation tables; the
-enumeration oracles elsewhere in the package index into them directly.
+Every field offers one lookup interface for its arithmetic: add_table,
+sub_table and mul_table are indexed t[a][b], neg_table and inv_table t[a].
+Up to TABLE_LIMIT they are precomputed lists; above it each lookup computes
+its entry.  Kernels elsewhere index them without knowing which.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 
-# Above this order, arithmetic falls back to on-the-fly computation instead
-# of precomputed q x q tables.
+# Up to this order the lookup tables are precomputed q x q lists; above it
+# each lookup computes its entry.  Only this module tells the two apart.
 TABLE_LIMIT = 256
 
 
@@ -138,12 +141,34 @@ def poly_text(coeffs: tuple[int, ...] | list[int]) -> str:
 # --- the field itself ---------------------------------------------------------
 
 
+class _ComputedTable:
+    """Stands in for a lookup table above TABLE_LIMIT: t[a] computes op(a).
+
+    binary(op) nests two of them, so that t[a][b] computes op(a, b).
+    """
+
+    __slots__ = ("_op",)
+
+    def __init__(self, op):
+        self._op = op
+
+    def __getitem__(self, a: int):
+        return self._op(a)
+
+    @classmethod
+    def binary(cls, op) -> "_ComputedTable":
+        return cls(lambda a: cls(partial(op, a)))
+
+
 class FieldSpec:
     """A finite field GF(p^k) operating on integer element codes in [0, q).
 
     Immutable after construction; all operations are pure, so instances may
-    be shared freely.  When q <= TABLE_LIMIT the instance carries
-    add/sub/mul/neg/inv lookup tables, which hot loops may index directly.
+    be shared freely.  Hot loops index the lookup tables add_table,
+    sub_table, mul_table (t[a][b]), neg_table and inv_table (t[a]) directly,
+    on codes they have validated; whether an entry is stored or computed
+    (above TABLE_LIMIT) is private to this class.  The methods add, sub,
+    neg, mul and inv are the checked front end to the same tables.
     """
 
     __slots__ = (
@@ -174,13 +199,13 @@ class FieldSpec:
         if self.q <= TABLE_LIMIT:
             self._build_tables()
         else:
-            self.add_table = None
-            self.sub_table = None
-            self.mul_table = None
-            self.neg_table = None
-            self.inv_table = None
+            self.add_table = _ComputedTable.binary(self._add_raw)
+            self.sub_table = _ComputedTable.binary(self._sub_raw)
+            self.mul_table = _ComputedTable.binary(self._mul_raw)
+            self.neg_table = _ComputedTable(self._neg_raw)
+            self.inv_table = _ComputedTable(self._inv_raw)
 
-    # raw operations used for table construction and as the large-field path
+    # raw operations: they build the tables, or compute them above TABLE_LIMIT
 
     def _digits(self, a: int) -> list[int]:
         out = []
@@ -252,27 +277,27 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        return self.add_table[a][b] if self.add_table is not None else self._add_raw(a, b)
+        return self.add_table[a][b]
 
     def sub(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        return self.sub_table[a][b] if self.sub_table is not None else self._sub_raw(a, b)
+        return self.sub_table[a][b]
 
     def neg(self, a: int) -> int:
         self._check(a)
-        return self.neg_table[a] if self.neg_table is not None else self._neg_raw(a)
+        return self.neg_table[a]
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        return self.mul_table[a][b] if self.mul_table is not None else self._mul_raw(a, b)
+        return self.mul_table[a][b]
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
-        return self.inv_table[a] if self.inv_table is not None else self._inv_raw(a)
+        return self.inv_table[a]
 
     def elements(self):
         """All element codes in ascending order, starting at 0."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .census import (
+    _shifted_unit_count,
     gl_order,
     intersection_count_formula,
     intersection_count_oracle,
@@ -22,7 +23,7 @@ from .census import (
 )
 from .errors import BudgetExceededError, DEFAULT_BUDGET, check_budget
 from .fields import FieldSpec
-from .matrices import Matrix, _det_flat, _iter_flat, matrix_space_size, scan_space
+from .matrices import Matrix, _det_flat, _iter_flat, matrix_space_size
 
 # explicit_graph_build stores one bit per vertex pair; 2^16 vertices is the
 # 512 MB point and the hard cap.
@@ -38,35 +39,16 @@ def adjacent(a: Matrix, b: Matrix) -> bool:
 def common_neighbors_bruteforce(
     a: Matrix, b: Matrix, *, budget: int | None = None
 ) -> int:
-    """Count vertices adjacent to both a and b by scanning the whole space."""
+    """Count vertices adjacent to both a and b by scanning the whole space.
+
+    M is adjacent to both exactly when N = M - a and N - (b - a) are
+    invertible, and N runs over the whole space as M does; no rank theory.
+    """
     a._same_space(b)
-    n = a.n
-    field = a.field
-    sub = field.sub_table
-    af = a.entries
-    bf = b.entries
-    if sub is not None:
-        def classify(flat):
-            da = [sub[x][y] for x, y in zip(flat, af)]
-            if _det_flat(da, n, field) == 0:
-                return -1
-            db = [sub[x][y] for x, y in zip(flat, bf)]
-            return 0 if _det_flat(db, n, field) != 0 else -1
-    else:
-        fsub = field.sub
-
-        def classify(flat):
-            da = [fsub(x, y) for x, y in zip(flat, af)]
-            if _det_flat(da, n, field) == 0:
-                return -1
-            db = [fsub(x, y) for x, y in zip(flat, bf)]
-            return 0 if _det_flat(db, n, field) != 0 else -1
-
-    return scan_space(
-        n, field, classify, 1,
-        budget=budget,
-        what=f"common-neighbor scan over M_{n}({field!r})",
-    )[0]
+    return _shifted_unit_count(
+        (b - a).entries, a.n, a.field, budget,
+        f"common-neighbor scan over M_{a.n}({a.field!r})",
+    )
 
 
 def common_neighbors_by_rank(a: Matrix, b: Matrix) -> int:
@@ -241,9 +223,6 @@ class CayleyGraph:
     def edge_count(self) -> int:
         return sum(bits.bit_count() for bits in self.adjacency) // 2
 
-    def common_neighbor_count(self, i: int, j: int) -> int:
-        return (self.adjacency[i] & self.adjacency[j]).bit_count()
-
     def pairwise_srg_test(self) -> PairwiseSrgResult:
         """Check the strong-regularity conditions on every vertex pair."""
         degrees = {self.degree(i) for i in range(self.order)}
@@ -304,18 +283,13 @@ def explicit_graph_build(
         flat for flat in _iter_flat(n, field) if _det_flat(flat, n, field) != 0
     ]
     add = field.add_table
-    fadd = field.add if add is None else None
     adjacency = []
     for vflat in _iter_flat(n, field):
         bits = 0
         for u in units:
             idx = 0
-            if add is not None:
-                for j in range(m - 1, -1, -1):
-                    idx = idx * q + add[vflat[j]][u[j]]
-            else:
-                for j in range(m - 1, -1, -1):
-                    idx = idx * q + fadd(vflat[j], u[j])
+            for j in range(m - 1, -1, -1):
+                idx = idx * q + add[vflat[j]][u[j]]
             bits |= 1 << idx
         adjacency.append(bits)
     return CayleyGraph(n, field, adjacency)

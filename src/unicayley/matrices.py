@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import check_budget
+from .errors import SingularMatrixError, check_budget
 from .fields import FieldSpec
 
 
@@ -54,40 +54,40 @@ class Matrix:
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.n + j]
 
-    def row(self, i: int) -> tuple:
-        n = self.n
-        return self.entries[i * n:(i + 1) * n]
-
     def column(self, j: int) -> tuple:
         n = self.n
         return tuple(self.entries[i * n + j] for i in range(n))
 
+    # Arithmetic indexes the field's lookup tables directly: every entry was
+    # validated when its matrix was built.
+
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_space(other)
-        f = self.field
+        add = self.field.add_table
         return Matrix._wrap(
             self.n,
-            tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)),
-            f,
+            tuple(add[a][b] for a, b in zip(self.entries, other.entries)),
+            self.field,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_space(other)
-        f = self.field
+        sub = self.field.sub_table
         return Matrix._wrap(
             self.n,
-            tuple(f.sub(a, b) for a, b in zip(self.entries, other.entries)),
-            f,
+            tuple(sub[a][b] for a, b in zip(self.entries, other.entries)),
+            self.field,
         )
 
     def __neg__(self) -> "Matrix":
-        f = self.field
-        return Matrix._wrap(self.n, tuple(f.neg(a) for a in self.entries), f)
+        neg = self.field.neg_table
+        return Matrix._wrap(self.n, tuple(neg[a] for a in self.entries), self.field)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._same_space(other)
         n = self.n
         f = self.field
+        add, mul = f.add_table, f.mul_table
         a = self.entries
         b = other.entries
         out = [0] * (n * n)
@@ -96,14 +96,15 @@ class Matrix:
             for j in range(n):
                 acc = 0
                 for t in range(n):
-                    acc = f.add(acc, f.mul(a[base + t], b[t * n + j]))
+                    acc = add[acc][mul[a[base + t]][b[t * n + j]]]
                 out[base + j] = acc
         return Matrix._wrap(n, tuple(out), f)
 
     def scalar_mul(self, c: int) -> "Matrix":
         f = self.field
         f._check(c)
-        return Matrix._wrap(self.n, tuple(f.mul(c, a) for a in self.entries), f)
+        row = f.mul_table[c]
+        return Matrix._wrap(self.n, tuple(row[a] for a in self.entries), f)
 
     def determinant(self) -> int:
         return _det_flat(self.entries, self.n, self.field)
@@ -117,34 +118,14 @@ class Matrix:
         return _det_flat(self.entries, self.n, self.field) != 0
 
     def inverse(self) -> "Matrix":
-        """Gauss-Jordan inverse; raises SingularMatrixError on rank < n."""
-        from .errors import SingularMatrixError
+        """Q @ P from the rank factorization P A Q = I.
 
-        n = self.n
-        f = self.field
-        sub, mul, inv = f.sub, f.mul, f.inv
-        aug = [
-            list(self.entries[i * n:(i + 1) * n])
-            + [1 if j == i else 0 for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise SingularMatrixError(f"matrix of rank < {n} has no inverse")
-            if piv != col:
-                aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            if pv != 1:
-                ipv = inv(pv)
-                aug[col] = [mul(ipv, x) for x in aug[col]]
-            prow = aug[col]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    c = aug[r][col]
-                    aug[r] = [sub(x, mul(c, y)) for x, y in zip(aug[r], prow)]
-        flat = tuple(aug[i][n + j] for i in range(n) for j in range(n))
-        return Matrix._wrap(n, flat, f)
+        Raises SingularMatrixError on rank < n.
+        """
+        fact = rank_factorize(self)
+        if fact.rank < self.n:
+            raise SingularMatrixError(f"matrix of rank < {self.n} has no inverse")
+        return fact.Q @ fact.P
 
     def is_linear_derangement(self) -> bool:
         """True iff the matrix and its shift by -I are both invertible."""
@@ -232,20 +213,17 @@ def _det_flat(e, n: int, field: FieldSpec) -> int:
     if n == 1:
         return e[0]
     mt = field.mul_table
-    if mt is not None:
-        st = field.sub_table
-        if n == 2:
-            return st[mt[e[0]][e[3]]][mt[e[1]][e[2]]]
-        if n == 3:
-            a, b, c, d, x, f, g, h, i = e
-            m1 = st[mt[x][i]][mt[f][h]]
-            m2 = st[mt[d][i]][mt[f][g]]
-            m3 = st[mt[d][h]][mt[x][g]]
-            return field.add_table[st[mt[a][m1]][mt[b][m2]]][mt[c][m3]]
-    elif n == 2:
-        return field.sub(field.mul(e[0], e[3]), field.mul(e[1], e[2]))
+    st = field.sub_table
+    if n == 2:
+        return st[mt[e[0]][e[3]]][mt[e[1]][e[2]]]
+    if n == 3:
+        a, b, c, d, x, f, g, h, i = e
+        m1 = st[mt[x][i]][mt[f][h]]
+        m2 = st[mt[d][i]][mt[f][g]]
+        m3 = st[mt[d][h]][mt[x][g]]
+        return field.add_table[st[mt[a][m1]][mt[b][m2]]][mt[c][m3]]
     rows = [list(e[r * n:(r + 1) * n]) for r in range(n)]
-    sub, mul, inv, neg = field.sub, field.mul, field.inv, field.neg
+    inv, neg = field.inv_table, field.neg_table
     det = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
@@ -253,18 +231,18 @@ def _det_flat(e, n: int, field: FieldSpec) -> int:
             return 0
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
-            det = neg(det)
+            det = neg[det]
         pv = rows[col][col]
-        det = mul(det, pv)
-        ipv = inv(pv)
+        det = mt[det][pv]
+        ipv = inv[pv]
         prow = rows[col]
         for r in range(col + 1, n):
             lead = rows[r][col]
             if lead != 0:
-                c = mul(lead, ipv)
+                mc = mt[mt[lead][ipv]]
                 rr = rows[r]
                 for j in range(col, n):
-                    rr[j] = sub(rr[j], mul(c, prow[j]))
+                    rr[j] = st[rr[j]][mc[prow[j]]]
     return det
 
 
@@ -274,7 +252,7 @@ def _rank_rows(rows: list[list[int]], field: FieldSpec) -> int:
         return 0
     m = len(rows)
     width = len(rows[0])
-    sub, mul, inv = field.sub, field.mul, field.inv
+    sub, mul, inv = field.sub_table, field.mul_table, field.inv_table
     rank = 0
     for col in range(width):
         # Pivot: first nonzero entry scanning top to bottom in this column.
@@ -284,14 +262,14 @@ def _rank_rows(rows: list[list[int]], field: FieldSpec) -> int:
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
         prow = rows[rank]
-        ipv = inv(prow[col])
+        ipv = inv[prow[col]]
         for r in range(rank + 1, m):
             lead = rows[r][col]
             if lead != 0:
-                c = mul(lead, ipv)
+                mc = mul[mul[lead][ipv]]
                 rr = rows[r]
                 for j in range(col, width):
-                    rr[j] = sub(rr[j], mul(c, prow[j]))
+                    rr[j] = sub[rr[j]][mc[prow[j]]]
         rank += 1
         if rank == m:
             break
@@ -316,7 +294,7 @@ def rank_factorize(a: Matrix) -> RankFactorization:
     """
     n = a.n
     f = a.field
-    sub, mul, inv = f.sub, f.mul, f.inv
+    sub, mul, inv = f.sub_table, f.mul_table, f.inv_table
     b = [list(a.entries[i * n:(i + 1) * n]) for i in range(n)]
     pmat = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     qmat = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
@@ -343,22 +321,23 @@ def rank_factorize(a: Matrix) -> RankFactorization:
                 row[t], row[pj] = row[pj], row[t]
         pv = b[t][t]
         if pv != 1:
-            ipv = inv(pv)
-            b[t] = [mul(ipv, x) for x in b[t]]
-            pmat[t] = [mul(ipv, x) for x in pmat[t]]
+            scale = mul[inv[pv]]
+            b[t] = [scale[x] for x in b[t]]
+            pmat[t] = [scale[x] for x in pmat[t]]
         prow = b[t]
         for i in range(n):
             if i != t and b[i][t] != 0:
-                c = b[i][t]
-                b[i] = [sub(x, mul(c, y)) for x, y in zip(b[i], prow)]
-                pmat[i] = [sub(x, mul(c, y)) for x, y in zip(pmat[i], pmat[t])]
+                mc = mul[b[i][t]]
+                b[i] = [sub[x][mc[y]] for x, y in zip(b[i], prow)]
+                pmat[i] = [sub[x][mc[y]] for x, y in zip(pmat[i], pmat[t])]
         for j in range(t + 1, n):
             c = b[t][j]
             if c != 0:
+                mc = mul[c]
                 for row in b:
-                    row[j] = sub(row[j], mul(c, row[t]))
+                    row[j] = sub[row[j]][mc[row[t]]]
                 for row in qmat:
-                    row[j] = sub(row[j], mul(c, row[t]))
+                    row[j] = sub[row[j]][mc[row[t]]]
         rank += 1
     p = Matrix._wrap(n, tuple(x for row in pmat for x in row), f)
     q = Matrix._wrap(n, tuple(x for row in qmat for x in row), f)
@@ -380,8 +359,8 @@ def singular_shift_criterion(a: Matrix) -> bool:
         flat[i * n] = 1 if i == 0 else 0
     if _det_flat(flat, n, f) == 0:
         return False
-    first_col = a.column(0)
-    target = [f.add(first_col[i], 1 if i == 0 else 0) for i in range(n)]
+    target = list(a.column(0))
+    target[0] = f.add_table[target[0]][1]
     base = [[a.entry(i, j) for j in range(1, n)] for i in range(n)]
     base_rank = _rank_rows([row[:] for row in base], f)
     augmented = [row + [target[i]] for i, row in enumerate(base)]

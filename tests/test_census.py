@@ -171,6 +171,16 @@ def test_recursion_polynomial_identities():
             assert lead > 0 and tail > 0
 
 
+@pytest.mark.parametrize("p,k", [(257, 1), (2, 9)])
+@pytest.mark.parametrize("r", [0, 1])
+def test_oracle_matches_formula_above_table_limit(p, k, r):
+    # above TABLE_LIMIT the scan computes every lookup instead of reading it
+    field = make_field(p, k)
+    assert intersection_count_oracle(r, 1, field) == (
+        intersection_count_formula(r, 1, field.q)
+    )
+
+
 def test_intersection_oracle_full_rank_is_derangement_count():
     assert intersection_count_oracle(2, 2, F3) == derangements_formula(2, 3)
 

@@ -367,6 +367,27 @@ def test_graph_build_budget_counts_vertex_unit_pairs(capsys):
     assert f"{16 ** 4 * 255 * 240} vertex-unit pairs" in err
 
 
+@pytest.mark.parametrize(
+    "check,n,field,scans",
+    [
+        ("rank-reduction", 2, 3, 50),   # 50 sampled pairs, one scan each
+        ("rank2-count", 3, 2, 2),       # the count and the case split
+        ("all", 2, 2, 1 + 1 + 1 + 0 + 50),
+    ],
+)
+def test_verify_budget_counts_every_scan(capsys, check, n, field, scans):
+    # each scan fits the budget on its own; verify charges all of them
+    needed = scans * field ** (n * n)
+    argv = ["verify", "--check", check, "--n", str(n), "--field", str(field)]
+    code, out, err = run_cli(capsys, *argv, "--budget", str(needed - 1))
+    assert code == 3
+    assert out == ""
+    assert f"requires {needed} items" in err
+    code, out, _ = run_cli(capsys, *argv, "--budget", str(needed))
+    assert code == 0
+    assert "FAIL" not in out
+
+
 def test_srg_methods_print_the_same_report(capsys):
     outputs = set()
     for method in ("formula", "oracle"):

@@ -1,10 +1,13 @@
 """Field construction, arithmetic axioms, and the deterministic modulus choice."""
 
+import ast
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import unicayley
 from unicayley import BudgetExceededError, is_irreducible, make_field
 from unicayley.fields import TABLE_LIMIT, factor_prime_power, is_prime, poly_text
 
@@ -176,10 +179,15 @@ def test_element_range_checked():
 
 
 def test_large_field_fallback_paths():
-    # Above TABLE_LIMIT the ops compute on the fly; sanity includes an
+    # Above TABLE_LIMIT the lookups compute on the fly; sanity includes an
     # extension field so polynomial reduction is exercised.
     fp = make_field(257)
-    assert fp.add_table is None
+    for f, a, b in ((fp, 200, 200), (fp, 0, 256), (make_field(2, 9), 37, 511)):
+        assert f.add_table[a][b] == f._add_raw(a, b)
+        assert f.sub_table[a][b] == f._sub_raw(a, b)
+        assert f.mul_table[a][b] == f._mul_raw(a, b)
+        assert f.neg_table[a] == f._neg_raw(a)
+        assert f.inv_table[b] == f._inv_raw(b)
     assert fp.mul(200, 200) == (200 * 200) % 257
     assert fp.mul(123, fp.inv(123)) == 1
 
@@ -189,6 +197,51 @@ def test_large_field_fallback_paths():
         assert f512.mul(a, f512.inv(a)) == 1
         assert f512.add(a, a) == 0  # characteristic 2
     assert f512.mul(3, 5) == f512.mul(5, 3)
+
+
+def _is_table(node, names=frozenset()):
+    return (isinstance(node, ast.Attribute) and node.attr.endswith("_table")) or (
+        isinstance(node, ast.Name) and node.id in names
+    )
+
+
+def _table_none_tests(tree):
+    """Lines comparing a lookup table, or a name bound to one, with None."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                names |= {t.id for t, v in pairs
+                          if isinstance(t, ast.Name) and _is_table(v)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            constants = [o.value for o in operands if isinstance(o, ast.Constant)]
+            if None in constants and any(_is_table(o, names) for o in operands):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_fields_tells_computed_lookups_from_stored_ones():
+    # every other module indexes the tables the same way on every field, so
+    # none of them may know TABLE_LIMIT or test a table for None
+    package = Path(unicayley.__file__).parent
+    offenders = {}
+    for module in sorted(package.glob("*.py")):
+        if module.name == "fields.py":
+            continue
+        text = module.read_text()
+        found = _table_none_tests(ast.parse(text))
+        if "TABLE_LIMIT" in text:
+            found.append("TABLE_LIMIT")
+        if found:
+            offenders[module.name] = found
+    assert len(list(package.glob("*.py"))) >= 7
+    assert offenders == {}
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

@@ -7,6 +7,7 @@ import pytest
 from unicayley import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    Matrix,
     adjacent,
     canonical_rank_matrix,
     common_neighbors_bruteforce,
@@ -75,6 +76,15 @@ def test_common_neighbors_examples():
     assert common_neighbors_bruteforce(zero, ident) == 2
     assert common_neighbors_bruteforce(zero, e11) == 2
     assert common_neighbors_bruteforce(zero, zero) == gl_order(2, 2)
+
+
+@pytest.mark.parametrize("p,k", [(257, 1), (2, 9)])
+def test_common_neighbors_above_table_limit(p, k):
+    # at n = 1, M is adjacent to a and b iff M differs from both
+    field = make_field(p, k)
+    a, b = Matrix(1, [3], field), Matrix(1, [field.q - 1], field)
+    assert common_neighbors_bruteforce(a, b) == field.q - 2
+    assert common_neighbors_bruteforce(a, a) == field.q - 1
 
 
 def test_common_neighbors_by_rank_examples():
@@ -222,6 +232,12 @@ def test_explicit_build_gf3():
     res = g.pairwise_srg_test()
     assert res.is_srg
     assert (res.order, res.degree, res.lam, res.mu) == (81, 48, 27, 30)
+
+
+def test_explicit_build_above_table_limit():
+    g = explicit_graph_build(1, make_field(257))
+    assert g.edge_count() == 257 * 256 // 2
+    assert "complete" in g.pairwise_srg_test().note
 
 
 def test_explicit_build_budget_refusal():
