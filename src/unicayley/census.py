@@ -189,24 +189,32 @@ def srg_parameters_n2(q: int) -> tuple[int, int, int, int]:
 # --- enumeration oracles --------------------------------------------------------
 
 
-def _shifted_unit_count(d, n: int, field: FieldSpec, budget, what: str) -> int:
-    """Count invertible N with N - d invertible, by full enumeration.
+def _shifted_unit_counts(shifts, budget) -> list[int]:
+    """Count invertible N with N - d invertible for each shift d, in one pass.
 
-    d is a flat entry tuple; each nonzero entry c of it shifts N through a
-    precomputed row x -> x - c of the field's subtraction.
+    The shifts are matrices of one space M_n(GF(q)), and the pass is charged
+    len(shifts) * q^(n^2) matrix-shift pairs.  det(N) is taken once per
+    matrix and det(N - d) only for invertible N; each nonzero entry c of d
+    moves N through a precomputed row x -> x - c of the field's subtraction.
     """
-    shifts = [(pos, [field.sub(x, c) for x in range(field.q)])
-              for pos, c in enumerate(d) if c]
+    n, field = shifts[0].n, shifts[0].field
+    moves = [[(pos, [field.sub(x, c) for x in range(field.q)])
+              for pos, c in enumerate(d.entries) if c] for d in shifts]
+    counts = [0] * len(shifts)
 
-    def classify(flat):
+    def visit(flat):
         if _det_flat(flat, n, field) == 0:
-            return -1
-        shifted = list(flat)
-        for pos, row in shifts:
-            shifted[pos] = row[shifted[pos]]
-        return 0 if _det_flat(shifted, n, field) != 0 else -1
+            return
+        for i, shift in enumerate(moves):
+            shifted = list(flat)
+            for pos, row in shift:
+                shifted[pos] = row[shifted[pos]]
+            if _det_flat(shifted, n, field) != 0:
+                counts[i] += 1
 
-    return scan_space(n, field, classify, 1, budget=budget, what=what)[0]
+    scan_space(n, field, visit, passes=len(shifts), budget=budget,
+               what=f"oracle pass over {len(shifts)} shifts in M_{n}({field!r})")
+    return counts
 
 
 def intersection_count_oracle(
@@ -221,10 +229,7 @@ def intersection_count_oracle(
     For r = 0 this degenerates to the invertible-matrix count; for r = n it is
     the linear-derangement count.
     """
-    return _shifted_unit_count(
-        canonical_rank_matrix(n, r, field).entries, n, field, budget,
-        f"rank-{r} intersection oracle over M_{n}({field!r})",
-    )
+    return _shifted_unit_counts([canonical_rank_matrix(n, r, field)], budget)[0]
 
 
 def rank2_case_decomposition_oracle(
@@ -246,27 +251,23 @@ def rank2_case_decomposition_oracle(
         raise ValueError(f"case split needs n >= 3, got {n}")
     f = field
     inc = [f.add(e, 1) for e in range(f.q)]
+    cases = [0, 0, 0]
 
-    def classify(flat):
-        if _det_flat(flat, n, f) == 0:
-            return -1
-        b00, b01 = flat[0], flat[1]
-        b10, b11 = flat[n], flat[n + 1]
-        shifted2 = (inc[b00], b01, b10, inc[b11])
-        if _det_flat(shifted2, 2, f) == 0:
-            return -1
+    def visit(flat):
+        b00, b01, b10, b11 = flat[0], flat[1], flat[n], flat[n + 1]
+        shifted = (inc[b00], b01, b10, inc[b11])
+        if _det_flat(shifted, 2, f) == 0 or _det_flat(flat, n, f) == 0:
+            return
         if _det_flat((b00, b01, b10, b11), 2, f) != 0:
-            return 0
-        if b00 == b01 == b10 == b11 == 0:
-            return 1
-        return 2
+            cases[0] += 1
+        elif b00 == b01 == b10 == b11 == 0:
+            cases[1] += 1
+        else:
+            cases[2] += 1
 
-    cases = scan_space(
-        n, field, classify, 3,
-        budget=budget,
-        what=f"rank-2 case decomposition over M_{n}({field!r})",
-    )
-    return cases[0], cases[1], cases[2]
+    scan_space(n, field, visit, budget=budget,
+               what=f"rank-2 case decomposition over M_{n}({field!r})")
+    return tuple(cases)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import sys
 
 from .census import (
     CensusRecord,
+    _shifted_unit_counts,
     derangements_formula,
     intersection_count_formula,
     intersection_count_oracle,
@@ -31,17 +32,18 @@ from .errors import BudgetExceededError, DEFAULT_BUDGET, check_budget
 from .fields import FieldSpec, factor_prime_power, make_field, poly_text
 from .graph import (
     SRG_METHODS,
-    common_neighbors_bruteforce,
     common_neighbors_by_rank,
     explicit_graph_build,
     srg_decide,
 )
 from .matrices import (
+    Matrix,
+    _det_flat,
     canonical_rank_matrix,
-    enumerate_matrices,
     index_to_matrix,
     matrix_space_size,
     parse_matrix,
+    scan_space,
     singular_shift_criterion,
 )
 
@@ -155,7 +157,7 @@ def _census_records(args, n, field, budget):
             raise UsageError(f"matrix literals must be {n}x{n}")
         r = (a - b).rank()
         pair_info = {"matrix_a": a.to_literal(), "matrix_b": b.to_literal(), "rank": r}
-        queries = [(r, lambda: common_neighbors_bruteforce(a, b, budget=budget))]
+        ranks, shifts = [r], [b - a]
     else:
         if args.rank is None or args.rank == "all":
             ranks = list(range(n + 1))
@@ -168,19 +170,18 @@ def _census_records(args, n, field, budget):
             if not 0 <= r <= n:
                 raise UsageError(f"--rank must lie in [0, {n}], got {r}")
             ranks = [r]
-        queries = [
-            (r, lambda r=r: intersection_count_oracle(r, n, field, budget=budget))
-            for r in ranks
-        ]
+        shifts = [canonical_rank_matrix(n, r, field) for r in ranks]
+    if method != "formula":
+        oracle = _shifted_unit_counts(shifts, budget)
 
     records: list[CensusRecord] = []
     agrees: dict[int, bool] = {}
-    for r, oracle in queries:
+    for i, r in enumerate(ranks):
         counts = {}
         if method in ("formula", "both"):
             counts["formula"] = intersection_count_formula(r, n, q)
         if method in ("oracle", "both"):
-            counts["oracle"] = oracle()
+            counts["oracle"] = oracle[i]
         for m in ("formula", "oracle"):
             if m in counts:
                 records.append(CensusRecord(n, q, r, m, counts[m]))
@@ -232,21 +233,22 @@ def _cmd_census(args) -> int:
 
 
 def _check_rank1_singularity(n, field, seed, budget):
-    e11 = canonical_rank_matrix(n, 1, field)
-    mismatches = 0
-    first = None
-    total = 0
-    for a in enumerate_matrices(n, field, budget=budget):
-        lhs = a.is_invertible() and not (a + e11).is_invertible()
-        rhs = singular_shift_criterion(a)
-        if lhs != rhs:
-            mismatches += 1
-            if first is None:
-                first = a.to_literal()
-        total += 1
-    if mismatches:
+    inc = [field.add(x, 1) for x in range(field.q)]
+    witnesses = []
+
+    def visit(flat):
+        shifted = (inc[flat[0]],) + flat[1:]  # A + E_11
+        lhs = _det_flat(flat, n, field) != 0 and _det_flat(shifted, n, field) == 0
+        if lhs != singular_shift_criterion(Matrix(n, flat, field)):
+            witnesses.append(flat)
+
+    scan_space(n, field, visit, budget=budget,
+               what=f"rank-1 singularity scan over M_{n}({field!r})")
+    total = matrix_space_size(n, field)
+    if witnesses:
+        first = Matrix(n, witnesses[0], field).to_literal()
         return False, (
-            f"{mismatches} of {total} matrices split the equivalence; "
+            f"{len(witnesses)} of {total} matrices split the equivalence; "
             f"first witness {first}"
         )
     return True, f"equivalence holds for all {total} matrices"
@@ -287,29 +289,27 @@ def _check_rank2_count(n, field, seed, budget):
 
 
 def _check_recurrence(n, field, seed, budget):
-    q = field.q
     for i in range(1, n + 1):
-        lhs = derangements_formula(i, q)
-        rhs = (
-            derangements_formula(i - 1, q) * (q ** i - 1) * q ** (i - 1)
-            + (-1) ** i * q ** (i * (i - 1) // 2)
-        )
+        lhs = derangements_formula(i, field.q)
+        rhs = intersection_count_oracle(i, i, field, budget=budget)
         if lhs != rhs:
-            return False, f"step {i}: {lhs} vs {rhs}"
+            return False, f"step {i}: recurrence {lhs} vs oracle {rhs}"
     return True, f"recurrence steps 1..{n} hold"
 
 
 def _check_rank_reduction(n, field, seed, budget):
     size = matrix_space_size(n, field)
     rng = random.Random(seed)
-    for trial in range(RANK_REDUCTION_SAMPLES):
+    pairs = []
+    for _ in range(RANK_REDUCTION_SAMPLES):
         i = rng.randrange(size)
         j = rng.randrange(size - 1)
         if j >= i:
             j += 1
-        a = index_to_matrix(i, n, field)
-        b = index_to_matrix(j, n, field)
-        brute = common_neighbors_bruteforce(a, b, budget=budget)
+        pairs.append((index_to_matrix(i, n, field), index_to_matrix(j, n, field)))
+    # common_neighbors_bruteforce for every pair, in one pass over the shifts
+    brutes = _shifted_unit_counts([b - a for a, b in pairs], budget)
+    for trial, ((a, b), brute) in enumerate(zip(pairs, brutes)):
         reduced = common_neighbors_by_rank(a, b)
         if brute != reduced:
             return False, (
@@ -319,14 +319,17 @@ def _check_rank_reduction(n, field, seed, budget):
     return True, f"{RANK_REDUCTION_SAMPLES} sampled pairs agree"
 
 
-# Each check with the number of full-space scans it makes at side n; verify
-# charges their sum against the budget before the first check runs.
+# Each check with the number of matrices (or matrix-shift pairs) its scans
+# visit at (n, q); verify charges their sum before the first check runs.
 _CHECKS = {
-    "rank1-singularity": (_check_rank1_singularity, lambda n: 1),
-    "rank1-count": (_check_rank1_count, lambda n: 1),
-    "rank2-count": (_check_rank2_count, lambda n: 2 if n >= 3 else 1),
-    "recurrence": (_check_recurrence, lambda n: 0),
-    "rank-reduction": (_check_rank_reduction, lambda n: RANK_REDUCTION_SAMPLES),
+    "rank1-singularity": (_check_rank1_singularity, lambda n, q: q ** (n * n)),
+    "rank1-count": (_check_rank1_count, lambda n, q: q ** (n * n)),
+    "rank2-count": (_check_rank2_count,
+                    lambda n, q: (2 if n >= 3 else 1) * q ** (n * n)),
+    "recurrence": (_check_recurrence,
+                   lambda n, q: sum(q ** (i * i) for i in range(1, n + 1))),
+    "rank-reduction": (_check_rank_reduction,
+                       lambda n, q: RANK_REDUCTION_SAMPLES * q ** (n * n)),
 }
 
 
@@ -338,10 +341,9 @@ def _cmd_verify(args) -> int:
         names = [name for name in _CHECKS if name != "rank2-count" or n >= 2]
     else:
         names = [args.check]
-    scans = sum(_CHECKS[name][1](n) for name in names)
     check_budget(
-        scans * matrix_space_size(n, field), budget,
-        f"{scans} verification scans over M_{n}({field!r})",
+        sum(_CHECKS[name][1](n, field.q) for name in names), budget,
+        f"verification scans over M_{n}({field!r})",
     )
     results = []
     for name in names:
@@ -510,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=SRG_METHODS, default="formula",
                    help="'formula' (the default) takes every count from the "
                         "closed forms, which cover every rank, with no scan; "
-                        "'oracle' takes them from n + 1 full-space scans, "
-                        "bounded by --budget")
+                        "'oracle' takes them from one full-space pass over "
+                        "n + 1 shifts, bounded by --budget")
     p.set_defaults(func=_cmd_srg)
 
     p = subs.add_parser("graph-build", help="materialize a tiny graph and "

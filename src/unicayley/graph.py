@@ -15,15 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .census import (
-    _shifted_unit_count,
+    _shifted_unit_counts,
     gl_order,
     intersection_count_formula,
-    intersection_count_oracle,
     srg_parameters_n2,
 )
-from .errors import BudgetExceededError, DEFAULT_BUDGET, check_budget
+from .errors import BudgetExceededError, DEFAULT_BUDGET
 from .fields import FieldSpec
-from .matrices import Matrix, _det_flat, _iter_flat, matrix_space_size
+from .matrices import (
+    Matrix,
+    _det_flat,
+    _iter_flat,
+    canonical_rank_matrix,
+    matrix_space_size,
+)
 
 # explicit_graph_build stores one bit per vertex pair; 2^16 vertices is the
 # 512 MB point and the hard cap.
@@ -44,11 +49,7 @@ def common_neighbors_bruteforce(
     M is adjacent to both exactly when N = M - a and N - (b - a) are
     invertible, and N runs over the whole space as M does; no rank theory.
     """
-    a._same_space(b)
-    return _shifted_unit_count(
-        (b - a).entries, a.n, a.field, budget,
-        f"common-neighbor scan over M_{a.n}({a.field!r})",
-    )
+    return _shifted_unit_counts([b - a], budget)[0]
 
 
 def common_neighbors_by_rank(a: Matrix, b: Matrix) -> int:
@@ -122,13 +123,13 @@ def srg_decide(
 ) -> SrgReport:
     """Decide strong regularity of the unitary Cayley graph of M_n(GF(q)).
 
-    Lambda is the count for the full-rank shift diag(I_n) and mu for rank
-    class r = 1..n-1 the count for diag(I_r, 0), both against the zero
-    vertex.  method="formula" takes every count from
+    counts[r] is the common-neighbor count of the zero vertex and
+    diag(I_r, 0): the degree for r = 0, lambda for r = n and mu for rank
+    class r = 1..n-1.  method="formula" takes them from
     intersection_count_formula, which has a closed form for every rank, and
-    does no enumeration.  method="oracle" takes them from n + 1 full-space
-    scans (a degree scan checked against gl_order, then one per rank); the
-    budget is charged for all of them before the first starts.  For n = 2 the
+    does no enumeration.  method="oracle" takes them from one full-space pass
+    over the n + 1 shifts, charged (n + 1) * q^(n^2) against the budget
+    before it starts; its degree is checked against gl_order.  For n = 2 the
     parameters are checked against the paper's closed-form tuple on both
     paths; a mismatch raises RuntimeError.  Complete graphs (n = 1) are
     reported as not strongly regular by convention.
@@ -137,25 +138,20 @@ def srg_decide(
     order = matrix_space_size(n, field)
     degree = gl_order(n, q)
     if method == "formula":
-        def count(r):
-            return intersection_count_formula(r, n, q)
+        counts = [degree] + [
+            intersection_count_formula(r, n, q) for r in range(1, n + 1)
+        ]
     elif method == "oracle":
-        check_budget(
-            (n + 1) * order, budget,
-            f"{n + 1} oracle scans over M_{n}({field!r})",
+        counts = _shifted_unit_counts(
+            [canonical_rank_matrix(n, r, field) for r in range(n + 1)], budget
         )
-
-        def count(r):
-            return intersection_count_oracle(r, n, field, budget=budget)
-
-        scanned = count(0)
-        if scanned != degree:
+        if counts[0] != degree:
             raise RuntimeError(
-                f"degree scan {scanned} disagrees with closed form {degree}"
+                f"degree scan {counts[0]} disagrees with closed form {degree}"
             )
     else:
         raise ValueError(f"method must be one of {SRG_METHODS}, got {method!r}")
-    lam = count(n)
+    lam = counts[n]
     if n == 1:
         return SrgReport(
             n=n, q=q, order=order, degree=degree, lam=lam,
@@ -164,7 +160,7 @@ def srg_decide(
                  "non-adjacent condition is vacuous and the graph is "
                  "excluded by convention",
         )
-    mu_by_rank = {r: count(r) for r in range(1, n)}
+    mu_by_rank = {r: counts[r] for r in range(1, n)}
     is_srg = len(set(mu_by_rank.values())) == 1
     parameters = None
     witness = None

@@ -407,20 +407,19 @@ def enumerate_matrices(n: int, field: FieldSpec, *, budget: int | None = None):
 def scan_space(
     n: int,
     field: FieldSpec,
-    classify,
-    bins: int,
+    visit,
     *,
+    passes: int = 1,
     budget: int | None = None,
     what: str = "matrix-space scan",
-) -> list[int]:
-    """Tally classify(flat_entries) over the whole matrix space.
+) -> None:
+    """Call visit(flat_entries) once for every matrix of the space.
 
-    classify returns a bin in [0, bins) or -1 to skip the matrix.
+    This is the one full-space loop; callers keep their own tallies.  A
+    caller that answers several queries in this single pass, such as one
+    pass over n + 1 shifts, gives their number as passes, and the budget is
+    charged passes * q^(n^2) before the first matrix.
     """
-    check_budget(matrix_space_size(n, field), budget, what)
-    totals = [0] * bins
+    check_budget(passes * matrix_space_size(n, field), budget, what)
     for flat in _iter_flat(n, field):
-        b = classify(flat)
-        if b >= 0:
-            totals[b] += 1
-    return totals
+        visit(flat)

@@ -1,12 +1,14 @@
 """Closed-form counts against their brute-force enumeration oracles."""
 
 import json
+import random
 
 import pytest
 
 from unicayley import (
     BudgetExceededError,
     CensusRecord,
+    canonical_rank_matrix,
     derangements_formula,
     gl_order,
     intersection_count_formula,
@@ -18,7 +20,9 @@ from unicayley import (
     rank2_intersection_formula,
     srg_parameters_n2,
 )
-from unicayley.census import shifted_count_recursion
+from unicayley.census import _shifted_unit_counts, shifted_count_recursion
+
+from helpers import random_distinct_pair
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -179,6 +183,30 @@ def test_oracle_matches_formula_above_table_limit(p, k, r):
     assert intersection_count_oracle(r, 1, field) == (
         intersection_count_formula(r, 1, field.q)
     )
+
+
+@pytest.mark.parametrize("n,field", [(2, F3), (3, F2)])
+def test_fused_scan_equals_one_scan_per_shift(n, field):
+    # ranks 0..n have distinct counts, so a shift that leaks into the next
+    # one's count shows up
+    rng = random.Random(31)
+    shifts = [canonical_rank_matrix(n, r, field) for r in range(n + 1)]
+    for _ in range(10):
+        a, b = random_distinct_pair(rng, n, field)
+        shifts.append(b - a)
+    fused = _shifted_unit_counts(shifts, None)
+    assert fused == [_shifted_unit_counts([d], None)[0] for d in shifts]
+    assert fused[:n + 1] == [intersection_count_formula(r, n, field.q)
+                             for r in range(n + 1)]
+    assert len(set(fused[:n + 1])) == n + 1
+
+
+def test_fused_scan_charges_every_shift():
+    shifts = [canonical_rank_matrix(2, r, F3) for r in range(3)]
+    with pytest.raises(BudgetExceededError) as err:
+        _shifted_unit_counts(shifts, 3 * 81 - 1)
+    assert err.value.required == 3 * 81
+    assert _shifted_unit_counts(shifts, 3 * 81) == [48, 30, 27]
 
 
 def test_intersection_oracle_full_rank_is_derangement_count():

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unicayley import cli, make_field
+from unicayley import census, cli, make_field, srg_decide
 from unicayley.cli import CHECK_NAMES, main
 
 from helpers import cached_field
@@ -231,7 +231,7 @@ def test_threads_flag_is_gone(capsys):
         ("rank1-singularity", "2", "3"),
         ("rank1-count", "3", "2"),
         ("rank2-count", "3", "2"),
-        ("recurrence", "4", "3"),
+        ("recurrence", "3", "3"),
         ("rank-reduction", "2", "3"),
     ],
 )
@@ -278,6 +278,23 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "-1" in out and "2" in out  # both sides of the disagreement
+
+
+def test_verify_recurrence_checks_against_the_oracle(capsys, monkeypatch):
+    # a wrong base case e_0 = 2 keeps every recurrence step consistent with
+    # the one before it; only the enumeration oracle tells it apart
+    def wrong_base(n, q):
+        e = 2
+        for i in range(1, n + 1):
+            e = e * (q ** i - 1) * q ** (i - 1) + (-1) ** i * q ** (i * (i - 1) // 2)
+        return e
+
+    monkeypatch.setattr("unicayley.cli.derangements_formula", wrong_base)
+    code, out, _ = run_cli(
+        capsys, "verify", "--check", "recurrence", "--n", "2", "--field", "3",
+    )
+    assert code == 1
+    assert "FAIL recurrence (n=2, q=3): step 1: recurrence 3 vs oracle 1" in out
 
 
 @pytest.mark.parametrize("check", ["rank1-count", "rank2-count"])
@@ -370,14 +387,17 @@ def test_graph_build_budget_counts_vertex_unit_pairs(capsys):
 @pytest.mark.parametrize(
     "check,n,field,scans",
     [
-        ("rank-reduction", 2, 3, 50),   # 50 sampled pairs, one scan each
+        ("rank-reduction", 2, 3, 50),   # one pass over 50 shifts
         ("rank2-count", 3, 2, 2),       # the count and the case split
-        ("all", 2, 2, 1 + 1 + 1 + 0 + 50),
+        ("recurrence", 3, 2, 0),        # one oracle at each side 1..n
+        ("all", 2, 2, 1 + 1 + 1 + 50),
     ],
 )
 def test_verify_budget_counts_every_scan(capsys, check, n, field, scans):
     # each scan fits the budget on its own; verify charges all of them
     needed = scans * field ** (n * n)
+    if check in ("recurrence", "all"):
+        needed += sum(field ** (i * i) for i in range(1, n + 1))
     argv = ["verify", "--check", check, "--n", str(n), "--field", str(field)]
     code, out, err = run_cli(capsys, *argv, "--budget", str(needed - 1))
     assert code == 3
@@ -386,6 +406,51 @@ def test_verify_budget_counts_every_scan(capsys, check, n, field, scans):
     code, out, _ = run_cli(capsys, *argv, "--budget", str(needed))
     assert code == 0
     assert "FAIL" not in out
+
+
+PAIR = ["--matrix-a", "1,0;0,1", "--matrix-b", "0,0;0,0"]
+
+
+@pytest.mark.parametrize("extra,needed", [
+    (["--method", "oracle"], 3 * 81),  # ranks 0..2, one pass each on its own
+    (["--method", "both"], 3 * 81),
+    (PAIR, 81),
+])
+def test_census_budget_counts_every_shift(capsys, extra, needed):
+    # each scan of M_2(GF(3)) fits a budget of 81 on its own; the census
+    # charges every shift before its one pass
+    argv = ["census", "--n", "2", "--field", "3", *extra]
+    code, out, err = run_cli(capsys, *argv, "--budget", str(needed - 1))
+    assert code == 3
+    assert out == ""
+    assert f"requires {needed}" in err
+    code, out, _ = run_cli(capsys, *argv, "--budget", str(needed))
+    assert code == 0
+    assert "oracle: 27" in out
+
+
+def test_oracle_queries_make_one_pass(capsys, monkeypatch):
+    calls = []
+    scan = census.scan_space
+
+    def counting_scan(*args, **kwargs):
+        calls.append(args[:2])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(census, "scan_space", counting_scan)
+    F2 = make_field(2)
+    assert srg_decide(3, F2, method="oracle").mu_by_rank == {1: 72, 2: 56}
+    assert calls == [(3, F2)]
+    for argv in (
+        ["census", "--n", "3", "--field", "2", "--method", "oracle"],
+        ["census", "--n", "2", "--field", "3", "--matrix-a", "1,0;0,1",
+         "--matrix-b", "0,2;0,0", "--method", "oracle"],
+        ["verify", "--check", "rank-reduction", "--n", "2", "--field", "3"],
+    ):
+        calls.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 1, argv
 
 
 def test_srg_methods_print_the_same_report(capsys):
