@@ -194,8 +194,9 @@ def _shifted_unit_counts(shifts, budget) -> list[int]:
 
     The shifts are matrices of one space M_n(GF(q)), and the pass is charged
     len(shifts) * q^(n^2) matrix-shift pairs.  det(N) is taken once per
-    matrix and det(N - d) only for invertible N; each nonzero entry c of d
-    moves N through a precomputed row x -> x - c of the field's subtraction.
+    matrix and det(N - d) only for invertible N and nonzero d, since the
+    zero shift leaves N as it is; each nonzero entry c of d moves N through
+    a precomputed row x -> x - c of the field's subtraction.
     """
     n, field = shifts[0].n, shifts[0].field
     moves = [[(pos, [field.sub(x, c) for x in range(field.q)])
@@ -209,7 +210,7 @@ def _shifted_unit_counts(shifts, budget) -> list[int]:
             shifted = list(flat)
             for pos, row in shift:
                 shifted[pos] = row[shifted[pos]]
-            if _det_flat(shifted, n, field) != 0:
+            if not shift or _det_flat(shifted, n, field) != 0:
                 counts[i] += 1
 
     scan_space(n, field, visit, passes=len(shifts), budget=budget,

@@ -49,15 +49,6 @@ from .matrices import (
 
 BUDGET_ENV_VAR = "UNICAYLEY_BUDGET"
 
-CHECK_NAMES = (
-    "rank1-singularity",
-    "rank1-count",
-    "rank2-count",
-    "recurrence",
-    "rank-reduction",
-    "all",
-)
-
 RANK_REDUCTION_SAMPLES = 50
 
 
@@ -331,6 +322,8 @@ _CHECKS = {
     "rank-reduction": (_check_rank_reduction,
                        lambda n, q: RANK_REDUCTION_SAMPLES * q ** (n * n)),
 }
+
+CHECK_NAMES = (*_CHECKS, "all")
 
 
 def _cmd_verify(args) -> int:

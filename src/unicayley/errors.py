@@ -35,9 +35,11 @@ class SingularMatrixError(ValueError):
     """A matrix with determinant zero was passed where an inverse is needed."""
 
 
-def check_budget(required: int, budget: int | None, what: str) -> int:
+def check_budget(
+    required: int, budget: int | None, what: str, *, unit: str = "items"
+) -> int:
     """Raise BudgetExceededError if required > budget; return the effective budget."""
     effective = DEFAULT_BUDGET if budget is None else budget
     if required > effective:
-        raise BudgetExceededError(required, effective, what)
+        raise BudgetExceededError(required, effective, what, unit=unit)
     return effective

@@ -303,11 +303,6 @@ class FieldSpec:
         """All element codes in ascending order, starting at 0."""
         return iter(range(self.q))
 
-    @property
-    def designation(self) -> str:
-        """The field as CLI text: '3' for GF(3), '2^2' for GF(4)."""
-        return str(self.q) if self.k == 1 else f"{self.p}^{self.k}"
-
     def __eq__(self, other):
         if not isinstance(other, FieldSpec):
             return NotImplemented

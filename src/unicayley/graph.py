@@ -6,13 +6,17 @@ neighbors of two distinct vertices depends only on rank(A - B), which is
 what makes the strong-regularity decision tractable: instead of scanning all
 vertex pairs it suffices to compare the per-rank counts.
 
-explicit_graph_build materializes the adjacency relation for tiny spaces and
-re-derives the verdict from scratch, pair by pair, as an independent check.
+explicit_graph_build materializes the adjacency relation for tiny spaces: one
+scan finds the invertible set, the neighbors of the zero vertex, and every
+other vertex's neighbors are that set translated by field addition.
+pairwise_srg_test then re-derives the verdict from scratch, pair by pair, as
+an independent check that assumes neither rank theory nor vertex-transitivity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .census import (
     _shifted_unit_counts,
@@ -20,14 +24,14 @@ from .census import (
     intersection_count_formula,
     srg_parameters_n2,
 )
-from .errors import BudgetExceededError, DEFAULT_BUDGET
+from .errors import BudgetExceededError, check_budget
 from .fields import FieldSpec
 from .matrices import (
     Matrix,
     _det_flat,
-    _iter_flat,
     canonical_rank_matrix,
     matrix_space_size,
+    scan_space,
 )
 
 # explicit_graph_build stores one bit per vertex pair; 2^16 vertices is the
@@ -172,15 +176,11 @@ def srg_decide(
                 f"closed-form tuple {srg_parameters_n2(q)}"
             )
     else:
-        r1, r2 = 1, 2
-        if mu_by_rank[r1] == mu_by_rank[r2]:
-            ranks = sorted(mu_by_rank)
-            r1, r2 = next(
-                (a, b)
-                for i, a in enumerate(ranks)
-                for b in ranks[i + 1:]
-                if mu_by_rank[a] != mu_by_rank[b]
-            )
+        r1, r2 = next(
+            (a, b)
+            for a, b in combinations(mu_by_rank, 2)
+            if mu_by_rank[a] != mu_by_rank[b]
+        )
         witness = SrgWitness((r1, r2), (mu_by_rank[r1], mu_by_rank[r2]))
     return SrgReport(
         n=n, q=q, order=order, degree=degree, lam=lam,
@@ -258,34 +258,42 @@ def explicit_graph_build(
 ) -> CayleyGraph:
     """Materialize the full adjacency relation for a tiny matrix space.
 
-    Neighbors of A are exactly A + U over invertible U, so the build walks
-    the invertible set once per vertex.  Refuses spaces above the vertex cap,
-    and charges the budget order * |GL_n(q)| vertex-unit pairs, the work of
-    that walk, before the first vertex.
+    Neighbors of A are exactly A + U over the invertible set U.  One scan
+    collects U as a bitset, the row of the zero vertex.  Every other row
+    comes from an earlier one: with step = q^j, once rows [0, step) exist,
+    row c * step + w is row w translated by c at entry j, which moves each
+    neighbor whose digit j is d to digit add[d][c].  The build uses only the
+    unit set and field addition, no rank theory.  Refuses spaces above the
+    vertex cap, and charges the budget order * (order - 1) / 2 vertex pairs,
+    the work of pairwise_srg_test, before the scan.
     """
     order = matrix_space_size(n, field)
-    limit = DEFAULT_BUDGET if budget is None else budget
-    cap = min(limit, HARD_VERTEX_CAP)
-    if order > cap:
-        raise BudgetExceededError(order, cap, what="explicit graph build (vertices)")
-    q = field.q
-    pairs = order * gl_order(n, q)
-    if pairs > limit:
+    if order > HARD_VERTEX_CAP:
         raise BudgetExceededError(
-            pairs, limit, what="explicit graph build", unit="vertex-unit pairs"
+            order, HARD_VERTEX_CAP, what="explicit graph build", unit="vertices",
+            remedy="the vertex cap does not follow the budget",
         )
-    m = n * n
-    units = [
-        flat for flat in _iter_flat(n, field) if _det_flat(flat, n, field) != 0
-    ]
+    check_budget(order * (order - 1) // 2, budget, "explicit graph build",
+                 unit="vertex pairs")
+    marks = []
+    scan_space(n, field,
+               lambda flat: marks.append("1" if _det_flat(flat, n, field) else "0"),
+               budget=budget, what=f"unit scan of M_{n}({field!r})")
+    adjacency = [int("".join(reversed(marks)), 2)]
+    q = field.q
     add = field.add_table
-    adjacency = []
-    for vflat in _iter_flat(n, field):
-        bits = 0
-        for u in units:
-            idx = 0
-            for j in range(m - 1, -1, -1):
-                idx = idx * q + add[vflat[j]][u[j]]
-            bits |= 1 << idx
-        adjacency.append(bits)
+    every = (1 << order) - 1
+    for j in range(n * n):
+        step = q ** j
+        # indices whose digit j is 0: the low step bits of each q * step block
+        low = every // ((1 << (q * step)) - 1) * ((1 << step) - 1)
+        masks = [low << (d * step) for d in range(q)]
+        for c in range(1, q):
+            moves = [(masks[d], d * step, add[d][c] * step) for d in range(q)]
+            for w in range(step):
+                bits = adjacency[w]
+                row = 0
+                for mask, src, dst in moves:
+                    row |= (bits & mask) >> src << dst
+                adjacency.append(row)
     return CayleyGraph(n, field, adjacency)

@@ -19,7 +19,9 @@ from unicayley import (
     rank2_case_formulas,
     rank2_intersection_formula,
     srg_parameters_n2,
+    zero_matrix,
 )
+from unicayley import census
 from unicayley.census import _shifted_unit_counts, shifted_count_recursion
 
 from helpers import random_distinct_pair
@@ -207,6 +209,20 @@ def test_fused_scan_charges_every_shift():
         _shifted_unit_counts(shifts, 3 * 81 - 1)
     assert err.value.required == 3 * 81
     assert _shifted_unit_counts(shifts, 3 * 81) == [48, 30, 27]
+
+
+def test_zero_shift_takes_no_second_determinant(monkeypatch):
+    # N - 0 = N, so only det(N) is taken: one per matrix, none per unit
+    calls = []
+    det = census._det_flat
+
+    def counted(*args):
+        calls.append(1)
+        return det(*args)
+
+    monkeypatch.setattr(census, "_det_flat", counted)
+    assert _shifted_unit_counts([zero_matrix(2, F3)], None) == [48]
+    assert len(calls) == 81
 
 
 def test_intersection_oracle_full_rank_is_derangement_count():

@@ -13,6 +13,7 @@ from unicayley import (
     common_neighbors_bruteforce,
     common_neighbors_by_rank,
     derangements_formula,
+    enumerate_matrices,
     explicit_graph_build,
     gl_order,
     identity_matrix,
@@ -247,21 +248,39 @@ def test_explicit_build_budget_refusal():
         explicit_graph_build(2, make_field(17))  # 17^4 vertices exceeds the cap
 
 
-def test_explicit_build_charges_vertex_unit_pairs():
-    # 81 vertices fit a budget of 3887, but the walk visits 81 * 48 pairs
+def test_explicit_build_charges_vertex_pairs():
+    # the build charges the order * (order - 1) / 2 pairs the pairwise test
+    # visits, before its scan
     with pytest.raises(BudgetExceededError) as err:
-        explicit_graph_build(2, F3, budget=3887)
-    assert err.value.required == 81 * gl_order(2, 3) == 3888
-    assert explicit_graph_build(2, F3, budget=3888).order == 81
-    # 2^16 vertices pass the vertex cap; 4.0e9 pairs do not pass the default
+        explicit_graph_build(2, F3, budget=3239)
+    assert err.value.required == 81 * 80 // 2 == 3240
+    assert explicit_graph_build(2, F3, budget=3240).order == 81
+    # 2^16 vertices pass the vertex cap; 2.1e9 pairs do not pass the default
     with pytest.raises(BudgetExceededError) as err:
         explicit_graph_build(2, make_field(2, 4))
-    assert err.value.required == 16 ** 4 * gl_order(2, 16)
+    assert err.value.required == 2 ** 16 * (2 ** 16 - 1) // 2
     # the largest benchmark rung, (2, 7), is charged less than the default
     with pytest.raises(BudgetExceededError) as err:
-        explicit_graph_build(2, make_field(7), budget=4_840_415)
-    assert err.value.required == 7 ** 4 * gl_order(2, 7) == 4_840_416
+        explicit_graph_build(2, make_field(7), budget=2_881_199)
+    assert err.value.required == 7 ** 4 * (7 ** 4 - 1) // 2 == 2_881_200
     assert err.value.required <= DEFAULT_BUDGET
+
+
+@pytest.mark.parametrize(
+    "n,p,k",
+    [(2, 3, 1), (2, 2, 2), (2, 5, 1), (2, 3, 2), (3, 2, 1), (1, 257, 1)],
+)
+def test_translated_rows_are_vertex_plus_units(n, p, k):
+    # row v of the translation build is {v + u : u invertible}, computed
+    # here by matrix addition; GF(257) lies above TABLE_LIMIT
+    field = make_field(p, k)
+    g = explicit_graph_build(n, field)
+    units = [u for u in enumerate_matrices(n, field) if u.is_invertible()]
+    rng = random.Random(7)
+    for v in [0, g.order - 1] + rng.sample(range(g.order), 6):
+        vm = index_to_matrix(v, n, field)
+        row = {(vm + u).index() for u in units}
+        assert g.adjacency[v] == sum(1 << i for i in row)
 
 
 def test_pairwise_agrees_with_rank_class_decision():

@@ -1,10 +1,13 @@
 """Matrix arithmetic, elimination kernels, rank factorization, enumeration."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import unicayley
 from unicayley import (
     BudgetExceededError,
     Matrix,
@@ -288,3 +291,27 @@ def test_rank_factorize_postcondition_property(field, n, data):
     assert fact.P.is_invertible()
     assert fact.Q.is_invertible()
     assert fact.P @ m @ fact.Q == canonical_rank_matrix(n, fact.rank, field)
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_only_matrices_enumerates_the_space():
+    # every full-space loop goes through scan_space or enumerate_matrices,
+    # so no other module may name the generator behind them
+    package = Path(unicayley.__file__).parent
+    offenders = [
+        module.name
+        for module in sorted(package.glob("*.py"))
+        if module.name != "matrices.py"
+        and "_iter_flat" in _names(ast.parse(module.read_text()))
+    ]
+    assert len(list(package.glob("*.py"))) >= 7
+    assert offenders == []
