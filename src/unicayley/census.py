@@ -15,8 +15,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .errors import check_budget
 from .fields import FieldSpec, factor_prime_power
-from .matrices import _det_flat, canonical_rank_matrix, scan_space
+from .matrices import _det_flat, canonical_rank_matrix, matrix_space_size, scan_space
 
 
 def _check_nq(n: int, q: int) -> None:
@@ -189,6 +190,16 @@ def srg_parameters_n2(q: int) -> tuple[int, int, int, int]:
 # --- enumeration oracles --------------------------------------------------------
 
 
+def _charge_shifts(count: int, n: int, field: FieldSpec, budget) -> None:
+    """Charge an oracle pass over count shifts in M_n(field) to the budget.
+
+    Callers that build the shifts charge first: n + 1 shifts of n^2 entries
+    cost time and memory growing as n^3, even for a pass the budget refuses.
+    """
+    check_budget(count * matrix_space_size(n, field), budget,
+                 f"oracle pass over {count} shifts in M_{n}({field!r})")
+
+
 def _shifted_unit_counts(shifts, budget) -> list[int]:
     """Count invertible N with N - d invertible for each shift d, in one pass.
 
@@ -199,6 +210,7 @@ def _shifted_unit_counts(shifts, budget) -> list[int]:
     a precomputed row x -> x - c of the field's subtraction.
     """
     n, field = shifts[0].n, shifts[0].field
+    _charge_shifts(len(shifts), n, field, budget)
     moves = [[(pos, [field.sub(x, c) for x in range(field.q)])
               for pos, c in enumerate(d.entries) if c] for d in shifts]
     counts = [0] * len(shifts)
@@ -213,8 +225,7 @@ def _shifted_unit_counts(shifts, budget) -> list[int]:
             if not shift or _det_flat(shifted, n, field) != 0:
                 counts[i] += 1
 
-    scan_space(n, field, visit, passes=len(shifts), budget=budget,
-               what=f"oracle pass over {len(shifts)} shifts in M_{n}({field!r})")
+    scan_space(n, field, visit, passes=len(shifts), budget=budget)
     return counts
 
 

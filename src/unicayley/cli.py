@@ -19,6 +19,7 @@ import sys
 
 from .census import (
     CensusRecord,
+    _charge_shifts,
     _shifted_unit_counts,
     derangements_formula,
     intersection_count_formula,
@@ -65,6 +66,8 @@ def parse_field(text: str, *, max_order: int) -> FieldSpec:
             p, k = int(p_text), int(k_text)
         else:
             q = int(t)
+            if q > max_order:  # before factoring, which runs to sqrt(q)
+                raise BudgetExceededError(q, max_order, what=f"construction of GF({q})")
             pk = factor_prime_power(q)
             if pk is None:
                 raise UsageError(f"field order {q} is not a prime power")
@@ -161,8 +164,10 @@ def _census_records(args, n, field, budget):
             if not 0 <= r <= n:
                 raise UsageError(f"--rank must lie in [0, {n}], got {r}")
             ranks = [r]
-        shifts = [canonical_rank_matrix(n, r, field) for r in ranks]
     if method != "formula":
+        _charge_shifts(len(ranks), n, field, budget)
+        if pair_info is None:
+            shifts = [canonical_rank_matrix(n, r, field) for r in ranks]
         oracle = _shifted_unit_counts(shifts, budget)
 
     records: list[CensusRecord] = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 # Default ceiling on the number of items any full-space enumeration may
 # touch.  Keeps desk-scale runs under minutes; override per call or via the
 # CLI --budget flag.
@@ -13,22 +15,32 @@ class BudgetExceededError(RuntimeError):
 
     def __init__(
         self,
-        required: int,
+        required: int | str,
         budget: int,
         what: str = "enumeration",
         *,
         unit: str = "items",
         remedy: str | None = None,
     ):
+        # required is the count, or its text when it is too large to form
         self.required = required
         self.budget = budget
         self.what = what
+        count = _count_text(required)
         if remedy is None:
-            remedy = f"rerun with a budget of at least {required}"
+            remedy = f"rerun with a budget of at least {count}"
         super().__init__(
-            f"{what} requires {required} {unit} but the budget is {budget}; "
+            f"{what} requires {count} {unit} but the budget is {budget}; "
             f"{remedy}"
         )
+
+
+def _count_text(count: int | str) -> str:
+    """count in decimal, or ~10^d if it has more digits than str() converts."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"~10^{round(math.log10(count))}"
 
 
 class SingularMatrixError(ValueError):

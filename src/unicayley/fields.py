@@ -7,9 +7,11 @@ fields reduce polynomials modulo a fixed monic irreducible modulus chosen
 deterministically, so repeated constructions of the same field agree.
 
 Every field offers one lookup interface for its arithmetic: add_table,
-sub_table and mul_table are indexed t[a][b], neg_table and inv_table t[a].
-Up to TABLE_LIMIT they are precomputed lists; above it each lookup computes
-its entry.  Kernels elsewhere index them without knowing which.
+sub_table and mul_table are indexed t[a][b], inv_table t[a], and -b is
+sub_table[0][b].  Up to TABLE_LIMIT these are lists, built for every field
+from exp/log tables of a primitive element and one base-p digit at a time;
+above it each lookup computes its entry with the raw operations, which the
+tests also check the lists against.  Other modules cannot tell the two apart.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from itertools import product
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 
-# Up to this order the lookup tables are precomputed q x q lists; above it
-# each lookup computes its entry.  Only this module tells the two apart.
+# Only this module tells stored tables from computed ones.
 TABLE_LIMIT = 256
 
 
@@ -142,7 +143,7 @@ def poly_text(coeffs: tuple[int, ...] | list[int]) -> str:
 
 
 class _ComputedTable:
-    """Stands in for a lookup table above TABLE_LIMIT: t[a] computes op(a).
+    """Stands in for a stored lookup table: t[a] computes op(a).
 
     binary(op) nests two of them, so that t[a][b] computes op(a, b).
     """
@@ -165,16 +166,14 @@ class FieldSpec:
 
     Immutable after construction; all operations are pure, so instances may
     be shared freely.  Hot loops index the lookup tables add_table,
-    sub_table, mul_table (t[a][b]), neg_table and inv_table (t[a]) directly,
-    on codes they have validated; whether an entry is stored or computed
-    (above TABLE_LIMIT) is private to this class.  The methods add, sub,
-    neg, mul and inv are the checked front end to the same tables.
+    sub_table, mul_table (t[a][b]) and inv_table (t[a]) directly, on codes
+    they have validated, and negate through the row sub_table[0]; whether an
+    entry is stored or computed is private to this class.  The methods add,
+    sub, neg, mul and inv are the checked front end to the same tables.
     """
 
-    __slots__ = (
-        "p", "k", "q", "modulus",
-        "add_table", "sub_table", "mul_table", "neg_table", "inv_table",
-    )
+    __slots__ = ("p", "k", "q", "modulus",
+                 "add_table", "sub_table", "mul_table", "inv_table")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -202,10 +201,9 @@ class FieldSpec:
             self.add_table = _ComputedTable.binary(self._add_raw)
             self.sub_table = _ComputedTable.binary(self._sub_raw)
             self.mul_table = _ComputedTable.binary(self._mul_raw)
-            self.neg_table = _ComputedTable(self._neg_raw)
             self.inv_table = _ComputedTable(self._inv_raw)
 
-    # raw operations: they build the tables, or compute them above TABLE_LIMIT
+    # raw operations on digits and polynomials
 
     def _digits(self, a: int) -> list[int]:
         out = []
@@ -222,21 +220,12 @@ class FieldSpec:
         return code
 
     def _add_raw(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
         da, db = self._digits(a), self._digits(b)
         return self._encode([(x + y) % self.p for x, y in zip(da, db)])
 
     def _sub_raw(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a - b) % self.p
         da, db = self._digits(a), self._digits(b)
         return self._encode([(x - y) % self.p for x, y in zip(da, db)])
-
-    def _neg_raw(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self._encode([(-x) % self.p for x in self._digits(a)])
 
     def _mul_raw(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -244,29 +233,39 @@ class FieldSpec:
         prod = _poly_mul(self._digits(a), self._digits(b), self.p)
         return self._encode(_poly_rem(prod, list(self.modulus), self.p))
 
-    def _pow_raw(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e > 0:
+    def _inv_raw(self, a: int) -> int:
+        # a^(q - 2) by square and multiply
+        result, base, e = 1, a, self.q - 2
+        while e:
             if e & 1:
                 result = self._mul_raw(result, base)
             base = self._mul_raw(base, base)
             e >>= 1
         return result
 
-    def _inv_raw(self, a: int) -> int:
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._pow_raw(a, self.q - 2)
-
     def _build_tables(self) -> None:
-        q = self.q
-        rng = range(q)
-        self.add_table = [[self._add_raw(a, b) for b in rng] for a in rng]
-        self.sub_table = [[self._sub_raw(a, b) for b in rng] for a in rng]
-        self.mul_table = [[self._mul_raw(a, b) for b in rng] for a in rng]
-        self.neg_table = [self._neg_raw(a) for a in rng]
-        self.inv_table = [0] + [self._inv_raw(a) for a in range(1, q)]
+        p, q = self.p, self.q
+        # exp[i] = g^i for the first g whose powers reach every nonzero code
+        for g in range(1, q):
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = self._mul_raw(x, g)
+            if len(exp) == q - 1:
+                break
+        log = {x: i for i, x in enumerate(exp)}
+        logs = [log[a] for a in range(1, q)]
+        exp2 = exp + exp
+        self.mul_table = [[0] * q] + [[0] + [exp2[i + j] for j in logs] for i in logs]
+        self.inv_table = [0] + [exp[-i] for i in logs]
+        # over i + 1 digits, block (a, b) is the table over i digits + (a + b) % p * p^i
+        add = [[0]]
+        for step in (p ** i for i in range(self.k)):
+            add = [[x + (a + b) % p * step for b in range(p) for x in row]
+                   for a in range(p) for row in add]
+        neg = [row.index(0) for row in add]
+        self.add_table = add
+        self.sub_table = [[row[nb] for nb in neg] for row in add]
 
     # public checked operations
 
@@ -286,7 +285,7 @@ class FieldSpec:
 
     def neg(self, a: int) -> int:
         self._check(a)
-        return self.neg_table[a]
+        return self.sub_table[0][a]
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)
@@ -315,23 +314,36 @@ class FieldSpec:
         return f"GF({self.q})"
 
 
+def _check_order(p: int, k: int, max_order: int) -> None:
+    """Raise BudgetExceededError if p^k exceeds max_order.
+
+    p^k >= 2^(e * k) with e = bit_length(p) - 1.  When that bound alone
+    refuses and e * k >= 2^16, p^k is not formed, since it can be too large to
+    hold; below that it is formed, so the refusal states the exact count.
+    """
+    what = f"construction of GF({p}^{k})"
+    if (p.bit_length() - 1) * k >= max(max_order.bit_length(), 1 << 16):
+        raise BudgetExceededError(f"{p}^{k}", max_order, what=what)
+    if p ** k > max_order:
+        raise BudgetExceededError(p ** k, max_order, what=what)
+
+
 def make_field(p: int, k: int = 1, *, max_order: int = DEFAULT_BUDGET) -> FieldSpec:
     """Construct GF(p^k) with the deterministic choice of modulus.
 
     For k > 1 the modulus is the lexicographically smallest monic irreducible
     polynomial of degree k over GF(p), comparing coefficients from the
-    highest degree down.
+    highest degree down.  The budget is checked before the primality test,
+    whose trial division runs to sqrt(p).
 
     Raises:
         ValueError: p is not prime, or k < 1.
         BudgetExceededError: p^k exceeds max_order.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"characteristic must be a prime integer, got {p!r}")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"extension degree must be a positive integer, got {k!r}")
-    q = p ** k
-    if q > max_order:
-        raise BudgetExceededError(q, max_order, what=f"construction of GF({p}^{k})")
+    if not isinstance(p, int) or (p <= max_order and not is_prime(p)):
+        raise ValueError(f"characteristic must be a prime integer, got {p!r}")
+    _check_order(p, k, max_order)  # p > max_order fails here
     modulus = _smallest_irreducible(p, k) if k > 1 else None
     return FieldSpec(p, k, modulus)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .census import (
+    _charge_shifts,
     _shifted_unit_counts,
     gl_order,
     intersection_count_formula,
@@ -146,6 +147,7 @@ def srg_decide(
             intersection_count_formula(r, n, q) for r in range(1, n + 1)
         ]
     elif method == "oracle":
+        _charge_shifts(n + 1, n, field, budget)
         counts = _shifted_unit_counts(
             [canonical_rank_matrix(n, r, field) for r in range(n + 1)], budget
         )

@@ -80,7 +80,7 @@ class Matrix:
         )
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg_table
+        neg = self.field.sub_table[0]
         return Matrix._wrap(self.n, tuple(neg[a] for a in self.entries), self.field)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -223,7 +223,7 @@ def _det_flat(e, n: int, field: FieldSpec) -> int:
         m3 = st[mt[d][h]][mt[x][g]]
         return field.add_table[st[mt[a][m1]][mt[b][m2]]][mt[c][m3]]
     rows = [list(e[r * n:(r + 1) * n]) for r in range(n)]
-    inv, neg = field.inv_table, field.neg_table
+    inv, neg = field.inv_table, st[0]
     det = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if rows[r][col] != 0), None)

@@ -1,8 +1,6 @@
-"""Shared helpers for the test suite: seeded random matrices, shared fields."""
+"""Shared helpers for the test suite: seeded random matrices."""
 
-import functools
-
-from unicayley import index_to_matrix, make_field, matrix_space_size
+from unicayley import index_to_matrix, matrix_space_size
 
 
 def random_matrix(rng, n, field):
@@ -25,12 +23,3 @@ def random_distinct_pair(rng, n, field):
         j += 1
     return index_to_matrix(i, n, field), index_to_matrix(j, n, field)
 
-
-@functools.lru_cache(maxsize=None)
-def cached_field(p, k=1):
-    """make_field(p, k), built once per test session.
-
-    GF(2^8) takes seconds to build its tables; fields are immutable, so
-    tests that need one more than once can share it.
-    """
-    return make_field(p, k)

@@ -9,10 +9,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unicayley import census, cli, make_field, srg_decide
+from unicayley import census, make_field, srg_decide
 from unicayley.cli import CHECK_NAMES, main
-
-from helpers import cached_field
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +200,10 @@ def test_bad_field_designation(capsys):
     assert "prime power" in err
     code, _, _ = run_cli(capsys, "census", "--n", "2", "--field", "4^x")
     assert code == 2
+    # 4^100 exceeds the budget, but 4 is within it and fails the primality test
+    code, _, err = run_cli(capsys, "census", "--n", "2", "--field", "4^100")
+    assert code == 2
+    assert "prime" in err
 
 
 def test_csv_rejected_outside_census(capsys):
@@ -384,6 +386,30 @@ def test_graph_build_budget_counts_vertex_pairs(capsys):
     assert "2147450880 vertex pairs" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # counts with more decimal digits than the interpreter converts
+    ["census", "--n", "150", "--field", "2", "--method", "oracle"],
+    ["verify", "--check", "recurrence", "--n", "250", "--field", "2"],
+    ["graph-build", "--n", "250", "--field", "2"],
+    ["field-info", "--field", "2^100000000"],
+    # orders above the budget, refused before primality tests and factoring
+    ["field-info", "--field", "10000000000000061"],
+    ["field-info", "--field", "10000000000000061^1"],
+    ["field-info", "--field", "100000000"],
+    ["field-info", "--field", "2^100000000000"],
+    # oracle passes refused before their n + 1 shifts are built
+    ["census", "--n", "400", "--field", "2", "--method", "oracle"],
+    ["srg", "--n", "400", "--field", "2", "--method", "oracle"],
+])
+def test_huge_refusals_exit_3_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert time.perf_counter() - start < 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "check,n,field,scans",
     [
@@ -540,15 +566,6 @@ def fuzz_argv(draw):
 
 def test_every_argv_keeps_the_exit_code_contract(monkeypatch):
     monkeypatch.setenv("UNICAYLEY_BUDGET", "4096")
-
-    def make_field_once(p, k=1, *, max_order):
-        # refusals go through make_field itself; accepted fields are shared,
-        # since building GF(2^8) takes seconds
-        if p ** k > max_order:
-            return make_field(p, k, max_order=max_order)
-        return cached_field(p, k)
-
-    monkeypatch.setattr(cli, "make_field", make_field_once)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(fuzz_argv())

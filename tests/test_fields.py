@@ -1,17 +1,15 @@
 """Field construction, arithmetic axioms, and the deterministic modulus choice."""
 
 import ast
+import time
 from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import unicayley
 from unicayley import BudgetExceededError, is_irreducible, make_field
 from unicayley.fields import TABLE_LIMIT, factor_prime_power, is_prime, poly_text
-
-from helpers import cached_field
 
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
 
@@ -186,8 +184,9 @@ def test_large_field_fallback_paths():
         assert f.add_table[a][b] == f._add_raw(a, b)
         assert f.sub_table[a][b] == f._sub_raw(a, b)
         assert f.mul_table[a][b] == f._mul_raw(a, b)
-        assert f.neg_table[a] == f._neg_raw(a)
         assert f.inv_table[b] == f._inv_raw(b)
+        assert f.neg(a) == f.sub_table[0][a] == f._sub_raw(0, a)
+        assert f.add(a, f.neg(a)) == 0
     assert fp.mul(200, 200) == (200 * 200) % 257
     assert fp.mul(123, fp.inv(123)) == 1
 
@@ -244,16 +243,25 @@ def test_only_fields_tells_computed_lookups_from_stored_ones():
     assert offenders == {}
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(st.integers(0, 255), st.integers(0, 255))
-def test_gf256_tables_match_raw_arithmetic(a, b):
-    # GF(2^8) is the largest table-backed field; its tables must agree with
-    # the raw arithmetic that fields above TABLE_LIMIT use
-    f = cached_field(2, 8)
+@pytest.mark.parametrize("p,k", [(2, 8), (3, 5), (5, 3), (7, 2), (251, 1)])
+def test_tables_match_raw_arithmetic(p, k):
+    # the tables come from a primitive element and digit-wise copies; every
+    # entry must equal the raw arithmetic that fields above TABLE_LIMIT use
+    f = make_field(p, k)
+    elems = range(f.q)
+    for a in elems:
+        assert f.add_table[a] == [f._add_raw(a, b) for b in elems]
+        assert f.sub_table[a] == [f._sub_raw(a, b) for b in elems]
+        assert f.mul_table[a] == [f._mul_raw(a, b) for b in elems]
+    assert f.inv_table[1:] == [f._inv_raw(b) for b in elems if b]
+    assert [f.add(b, f.sub_table[0][b]) for b in elems] == [0] * f.q
+
+
+def test_largest_table_field_builds_fast():
+    start = time.perf_counter()
+    f = make_field(2, 8)
+    assert time.perf_counter() - start < 0.5
     assert f.q == TABLE_LIMIT
-    assert f.mul_table[a][b] == f._mul_raw(a, b)
-    assert f.add_table[a][b] == f._add_raw(a, b)
-    assert f.sub_table[a][b] == f._sub_raw(a, b)
 
 
 def test_factor_prime_power():
