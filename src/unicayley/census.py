@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import check_budget
 from .fields import FieldSpec, factor_prime_power
-from .matrices import _det_flat, canonical_rank_matrix, matrix_space_size, scan_space
+from .matrices import _det_flat, canonical_rank_matrix, scan_space
 
 
 def _check_nq(n: int, q: int) -> None:
@@ -190,27 +190,16 @@ def srg_parameters_n2(q: int) -> tuple[int, int, int, int]:
 # --- enumeration oracles --------------------------------------------------------
 
 
-def _charge_shifts(count: int, n: int, field: FieldSpec, budget) -> None:
-    """Charge an oracle pass over count shifts in M_n(field) to the budget.
-
-    Callers that build the shifts charge first: n + 1 shifts of n^2 entries
-    cost time and memory growing as n^3, even for a pass the budget refuses.
-    """
-    check_budget(count * matrix_space_size(n, field), budget,
-                 f"oracle pass over {count} shifts in M_{n}({field!r})")
-
-
-def _shifted_unit_counts(shifts, budget) -> list[int]:
+def _shifted_unit_counts(shifts) -> list[int]:
     """Count invertible N with N - d invertible for each shift d, in one pass.
 
-    The shifts are matrices of one space M_n(GF(q)), and the pass is charged
+    The shifts are matrices of one space M_n(GF(q)); the caller has charged
     len(shifts) * q^(n^2) matrix-shift pairs.  det(N) is taken once per
     matrix and det(N - d) only for invertible N and nonzero d, since the
     zero shift leaves N as it is; each nonzero entry c of d moves N through
     a precomputed row x -> x - c of the field's subtraction.
     """
     n, field = shifts[0].n, shifts[0].field
-    _charge_shifts(len(shifts), n, field, budget)
     moves = [[(pos, [field.sub(x, c) for x in range(field.q)])
               for pos, c in enumerate(d.entries) if c] for d in shifts]
     counts = [0] * len(shifts)
@@ -225,7 +214,7 @@ def _shifted_unit_counts(shifts, budget) -> list[int]:
             if not shift or _det_flat(shifted, n, field) != 0:
                 counts[i] += 1
 
-    scan_space(n, field, visit, passes=len(shifts), budget=budget)
+    scan_space(n, field, visit)
     return counts
 
 
@@ -241,7 +230,9 @@ def intersection_count_oracle(
     For r = 0 this degenerates to the invertible-matrix count; for r = n it is
     the linear-derangement count.
     """
-    return _shifted_unit_counts([canonical_rank_matrix(n, r, field)], budget)[0]
+    check_budget([(1, field.q, n * n)], budget,
+                 f"oracle pass over 1 shifts in M_{n}({field!r})")
+    return _shifted_unit_counts([canonical_rank_matrix(n, r, field)])[0]
 
 
 def rank2_case_decomposition_oracle(
@@ -261,6 +252,8 @@ def rank2_case_decomposition_oracle(
     """
     if n < 3:
         raise ValueError(f"case split needs n >= 3, got {n}")
+    check_budget([(1, field.q, n * n)], budget,
+                 f"rank-2 case decomposition over M_{n}({field!r})")
     f = field
     inc = [f.add(e, 1) for e in range(f.q)]
     cases = [0, 0, 0]
@@ -277,8 +270,7 @@ def rank2_case_decomposition_oracle(
         else:
             cases[2] += 1
 
-    scan_space(n, field, visit, budget=budget,
-               what=f"rank-2 case decomposition over M_{n}({field!r})")
+    scan_space(n, field, visit)
     return tuple(cases)
 
 

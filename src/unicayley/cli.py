@@ -19,7 +19,6 @@ import sys
 
 from .census import (
     CensusRecord,
-    _charge_shifts,
     _shifted_unit_counts,
     derangements_formula,
     intersection_count_formula,
@@ -29,7 +28,13 @@ from .census import (
     rank2_case_formulas,
     rank2_intersection_formula,
 )
-from .errors import BudgetExceededError, DEFAULT_BUDGET, check_budget
+from .errors import (
+    BudgetExceededError,
+    DEFAULT_BUDGET,
+    _log10,
+    _unformable,
+    check_budget,
+)
 from .fields import FieldSpec, factor_prime_power, make_field, poly_text
 from .graph import (
     SRG_METHODS,
@@ -66,8 +71,8 @@ def parse_field(text: str, *, max_order: int) -> FieldSpec:
             p, k = int(p_text), int(k_text)
         else:
             q = int(t)
-            if q > max_order:  # before factoring, which runs to sqrt(q)
-                raise BudgetExceededError(q, max_order, what=f"construction of GF({q})")
+            # before factoring, which runs to sqrt(q)
+            check_budget([(1, q, 1)], max_order, f"construction of GF({q})")
             pk = factor_prime_power(q)
             if pk is None:
                 raise UsageError(f"field order {q} is not a prime power")
@@ -110,13 +115,13 @@ def _check_printable(n: int, q: int, what: str) -> None:
     to a string.  This also bounds the work of the recursion.
     """
     limit = sys.get_int_max_str_digits() or DEFAULT_MAX_STR_DIGITS
-    # the float estimate spares building q^{n^2} for a huge n; below it the
-    # exact power has at most limit + 2 digits and is cheap to compare
-    estimate = n * n * math.log10(q)
-    if estimate > limit + 1 or q ** (n * n) >= 10 ** limit:
-        digits = math.floor(estimate) + 1
+    bound = 10 ** limit
+    # the bit-length bound spares building q^{n^2} for a huge n; below it
+    # the exact power is cheap to form and compare
+    if _unformable(1, q, n * n, bound) or q ** (n * n) >= bound:
+        whole, part = _log10(1, q, n * n)
         raise BudgetExceededError(
-            digits, limit,
+            whole + math.floor(part) + 1, limit,
             what=f"{what} at n = {n}, q = {q} (counts up to q^(n^2))",
             unit="decimal digits",
             remedy="raise PYTHONINTMAXSTRDIGITS to print longer counts",
@@ -151,24 +156,23 @@ def _census_records(args, n, field, budget):
             raise UsageError(f"matrix literals must be {n}x{n}")
         r = (a - b).rank()
         pair_info = {"matrix_a": a.to_literal(), "matrix_b": b.to_literal(), "rank": r}
-        ranks, shifts = [r], [b - a]
+    elif args.rank is None or args.rank == "all":
+        r = None
     else:
-        if args.rank is None or args.rank == "all":
-            ranks = list(range(n + 1))
-        else:
-            try:
-                r = int(args.rank)
-            except ValueError:
-                msg = f"--rank takes an integer or 'all', got {args.rank!r}"
-                raise UsageError(msg) from None
-            if not 0 <= r <= n:
-                raise UsageError(f"--rank must lie in [0, {n}], got {r}")
-            ranks = [r]
+        try:
+            r = int(args.rank)
+        except ValueError:
+            msg = f"--rank takes an integer or 'all', got {args.rank!r}"
+            raise UsageError(msg) from None
+        if not 0 <= r <= n:
+            raise UsageError(f"--rank must lie in [0, {n}], got {r}")
+    ranks = range(n + 1) if r is None else [r]
     if method != "formula":
-        _charge_shifts(len(ranks), n, field, budget)
-        if pair_info is None:
-            shifts = [canonical_rank_matrix(n, r, field) for r in ranks]
-        oracle = _shifted_unit_counts(shifts, budget)
+        count = n + 1 if r is None else 1
+        check_budget([(count, q, n * n)], budget,
+                     f"oracle pass over {count} shifts in M_{n}({field!r})")
+        oracle = _shifted_unit_counts(
+            [b - a] if pair_info else [canonical_rank_matrix(n, r, field) for r in ranks])
 
     records: list[CensusRecord] = []
     agrees: dict[int, bool] = {}
@@ -238,8 +242,7 @@ def _check_rank1_singularity(n, field, seed, budget):
         if lhs != singular_shift_criterion(Matrix(n, flat, field)):
             witnesses.append(flat)
 
-    scan_space(n, field, visit, budget=budget,
-               what=f"rank-1 singularity scan over M_{n}({field!r})")
+    scan_space(n, field, visit)
     total = matrix_space_size(n, field)
     if witnesses:
         first = Matrix(n, witnesses[0], field).to_literal()
@@ -304,7 +307,7 @@ def _check_rank_reduction(n, field, seed, budget):
             j += 1
         pairs.append((index_to_matrix(i, n, field), index_to_matrix(j, n, field)))
     # common_neighbors_bruteforce for every pair, in one pass over the shifts
-    brutes = _shifted_unit_counts([b - a for a, b in pairs], budget)
+    brutes = _shifted_unit_counts([b - a for a, b in pairs])
     for trial, ((a, b), brute) in enumerate(zip(pairs, brutes)):
         reduced = common_neighbors_by_rank(a, b)
         if brute != reduced:
@@ -316,16 +319,17 @@ def _check_rank_reduction(n, field, seed, budget):
 
 
 # Each check with the number of matrices (or matrix-shift pairs) its scans
-# visit at (n, q); verify charges their sum before the first check runs.
+# visit at (n, q), as check_budget terms, largest first; verify charges their
+# sum before the first check runs.
 _CHECKS = {
-    "rank1-singularity": (_check_rank1_singularity, lambda n, q: q ** (n * n)),
-    "rank1-count": (_check_rank1_count, lambda n, q: q ** (n * n)),
+    "rank1-singularity": (_check_rank1_singularity, lambda n, q: [(1, q, n * n)]),
+    "rank1-count": (_check_rank1_count, lambda n, q: [(1, q, n * n)]),
     "rank2-count": (_check_rank2_count,
-                    lambda n, q: (2 if n >= 3 else 1) * q ** (n * n)),
+                    lambda n, q: [(2 if n >= 3 else 1, q, n * n)]),
     "recurrence": (_check_recurrence,
-                   lambda n, q: sum(q ** (i * i) for i in range(1, n + 1))),
+                   lambda n, q: ((1, q, i * i) for i in range(n, 0, -1))),
     "rank-reduction": (_check_rank_reduction,
-                       lambda n, q: RANK_REDUCTION_SAMPLES * q ** (n * n)),
+                       lambda n, q: [(RANK_REDUCTION_SAMPLES, q, n * n)]),
 }
 
 CHECK_NAMES = (*_CHECKS, "all")
@@ -340,7 +344,7 @@ def _cmd_verify(args) -> int:
     else:
         names = [args.check]
     check_budget(
-        sum(_CHECKS[name][1](n, field.q) for name in names), budget,
+        (term for name in names for term in _CHECKS[name][1](n, field.q)), budget,
         f"verification scans over M_{n}({field!r})",
     )
     results = []

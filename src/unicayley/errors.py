@@ -1,4 +1,4 @@
-"""Shared exception types and the enumeration budget guard."""
+"""Shared exception types and the one budget gate, check_budget."""
 
 from __future__ import annotations
 
@@ -47,11 +47,39 @@ class SingularMatrixError(ValueError):
     """A matrix with determinant zero was passed where an inverse is needed."""
 
 
+def _unformable(c: int, b: int, e: int, bound: int) -> bool:
+    """True when bit lengths alone show c * b^e > bound, and c * b^e would
+    have at least 2^16 bits: too many to form just to compare."""
+    floor = c.bit_length() - 1 + (b.bit_length() - 1) * e
+    return floor >= max(bound.bit_length(), 1 << 16)
+
+
+def _log10(c: int, b: int, e: int) -> tuple[int, float]:
+    """log10(c * b^e) as an int plus a float, with no float of e or b^e."""
+    num, den = math.log10(b).as_integer_ratio()
+    whole, rest = divmod(e * num, den)
+    return whole, rest / den + math.log10(c)
+
+
 def check_budget(
-    required: int, budget: int | None, what: str, *, unit: str = "items"
-) -> int:
-    """Raise BudgetExceededError if required > budget; return the effective budget."""
+    terms, budget: int | None, what: str, *, unit: str = "items",
+    remedy: str | None = None,
+) -> None:
+    """Raise BudgetExceededError if the work exceeds the budget (None: default).
+
+    The one place that compares work with a budget.  The work is the sum of
+    c * b^e over terms, positive (c, b, e) such as [(n + 1, q, n * n)].  The
+    first term that _unformable shows over the budget refuses at once as
+    ~10^d, so a lazy iterable yields its largest term first; otherwise the
+    exact sum is formed and a refusal states it.
+    """
     effective = DEFAULT_BUDGET if budget is None else budget
-    if required > effective:
-        raise BudgetExceededError(required, effective, what, unit=unit)
-    return effective
+    total = 0
+    for c, b, e in terms:
+        if _unformable(c, b, e, effective):
+            whole, part = _log10(c, b, e)
+            raise BudgetExceededError(f"~10^{whole + round(part)}", effective,
+                                      what, unit=unit, remedy=remedy)
+        total += c * b ** e
+    if total > effective:
+        raise BudgetExceededError(total, effective, what, unit=unit, remedy=remedy)

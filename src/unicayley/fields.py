@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import product
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, check_budget
 
 # Only this module tells stored tables from computed ones.
 TABLE_LIMIT = 256
@@ -314,20 +314,6 @@ class FieldSpec:
         return f"GF({self.q})"
 
 
-def _check_order(p: int, k: int, max_order: int) -> None:
-    """Raise BudgetExceededError if p^k exceeds max_order.
-
-    p^k >= 2^(e * k) with e = bit_length(p) - 1.  When that bound alone
-    refuses and e * k >= 2^16, p^k is not formed, since it can be too large to
-    hold; below that it is formed, so the refusal states the exact count.
-    """
-    what = f"construction of GF({p}^{k})"
-    if (p.bit_length() - 1) * k >= max(max_order.bit_length(), 1 << 16):
-        raise BudgetExceededError(f"{p}^{k}", max_order, what=what)
-    if p ** k > max_order:
-        raise BudgetExceededError(p ** k, max_order, what=what)
-
-
 def make_field(p: int, k: int = 1, *, max_order: int = DEFAULT_BUDGET) -> FieldSpec:
     """Construct GF(p^k) with the deterministic choice of modulus.
 
@@ -344,6 +330,7 @@ def make_field(p: int, k: int = 1, *, max_order: int = DEFAULT_BUDGET) -> FieldS
         raise ValueError(f"extension degree must be a positive integer, got {k!r}")
     if not isinstance(p, int) or (p <= max_order and not is_prime(p)):
         raise ValueError(f"characteristic must be a prime integer, got {p!r}")
-    _check_order(p, k, max_order)  # p > max_order fails here
+    # p > max_order fails here
+    check_budget([(1, p, k)], max_order, f"construction of GF({p}^{k})")
     modulus = _smallest_irreducible(p, k) if k > 1 else None
     return FieldSpec(p, k, modulus)

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .census import (
-    _charge_shifts,
     _shifted_unit_counts,
     gl_order,
     intersection_count_formula,
     srg_parameters_n2,
 )
-from .errors import BudgetExceededError, check_budget
+from .errors import check_budget
 from .fields import FieldSpec
 from .matrices import (
     Matrix,
@@ -54,7 +53,9 @@ def common_neighbors_bruteforce(
     M is adjacent to both exactly when N = M - a and N - (b - a) are
     invertible, and N runs over the whole space as M does; no rank theory.
     """
-    return _shifted_unit_counts([b - a], budget)[0]
+    check_budget([(1, a.field.q, a.n * a.n)], budget,
+                 f"oracle pass over 1 shifts in M_{a.n}({a.field!r})")
+    return _shifted_unit_counts([b - a])[0]
 
 
 def common_neighbors_by_rank(a: Matrix, b: Matrix) -> int:
@@ -139,24 +140,26 @@ def srg_decide(
     paths; a mismatch raises RuntimeError.  Complete graphs (n = 1) are
     reported as not strongly regular by convention.
     """
+    if method not in SRG_METHODS:
+        raise ValueError(f"method must be one of {SRG_METHODS}, got {method!r}")
     q = field.q
+    if method == "oracle":
+        check_budget([(n + 1, q, n * n)], budget,
+                     f"oracle pass over {n + 1} shifts in M_{n}({field!r})")
     order = matrix_space_size(n, field)
     degree = gl_order(n, q)
     if method == "formula":
         counts = [degree] + [
             intersection_count_formula(r, n, q) for r in range(1, n + 1)
         ]
-    elif method == "oracle":
-        _charge_shifts(n + 1, n, field, budget)
+    else:
         counts = _shifted_unit_counts(
-            [canonical_rank_matrix(n, r, field) for r in range(n + 1)], budget
+            [canonical_rank_matrix(n, r, field) for r in range(n + 1)]
         )
         if counts[0] != degree:
             raise RuntimeError(
                 f"degree scan {counts[0]} disagrees with closed form {degree}"
             )
-    else:
-        raise ValueError(f"method must be one of {SRG_METHODS}, got {method!r}")
     lam = counts[n]
     if n == 1:
         return SrgReport(
@@ -262,40 +265,35 @@ def explicit_graph_build(
 
     Neighbors of A are exactly A + U over the invertible set U.  One scan
     collects U as a bitset, the row of the zero vertex.  Every other row
-    comes from an earlier one: with step = q^j, once rows [0, step) exist,
-    row c * step + w is row w translated by c at entry j, which moves each
-    neighbor whose digit j is d to digit add[d][c].  The build uses only the
-    unit set and field addition, no rank theory.  Refuses spaces above the
-    vertex cap, and charges the budget order * (order - 1) / 2 vertex pairs,
-    the work of pairwise_srg_test, before the scan.
+    comes from an earlier one.  Element codes are base-p coefficient strings
+    and field addition adds them digit by digit mod p, so with step = p^t
+    over the n^2 * k base-p digits of a vertex index, row c * step + w is
+    row w translated by c at digit t: in each block of p * step bits, bits
+    whose digit t is below p - c move up c * step and the rest move down
+    (p - c) * step.  The build uses only the unit set and field addition,
+    no rank theory.  Refuses spaces above the vertex cap, then charges the
+    budget order * (order - 1) / 2 vertex pairs, the work of
+    pairwise_srg_test, before the scan.
     """
+    check_budget([(1, field.q, n * n)], HARD_VERTEX_CAP, "explicit graph build",
+                 unit="vertices", remedy="the vertex cap does not follow the budget")
     order = matrix_space_size(n, field)
-    if order > HARD_VERTEX_CAP:
-        raise BudgetExceededError(
-            order, HARD_VERTEX_CAP, what="explicit graph build", unit="vertices",
-            remedy="the vertex cap does not follow the budget",
-        )
-    check_budget(order * (order - 1) // 2, budget, "explicit graph build",
-                 unit="vertex pairs")
+    check_budget([(order * (order - 1) // 2, 1, 1)], budget,
+                 "explicit graph build", unit="vertex pairs")
     marks = []
     scan_space(n, field,
-               lambda flat: marks.append("1" if _det_flat(flat, n, field) else "0"),
-               budget=budget, what=f"unit scan of M_{n}({field!r})")
+               lambda flat: marks.append("1" if _det_flat(flat, n, field) else "0"))
     adjacency = [int("".join(reversed(marks)), 2)]
-    q = field.q
-    add = field.add_table
+    p = field.p
     every = (1 << order) - 1
-    for j in range(n * n):
-        step = q ** j
-        # indices whose digit j is 0: the low step bits of each q * step block
-        low = every // ((1 << (q * step)) - 1) * ((1 << step) - 1)
-        masks = [low << (d * step) for d in range(q)]
-        for c in range(1, q):
-            moves = [(masks[d], d * step, add[d][c] * step) for d in range(q)]
-            for w in range(step):
-                bits = adjacency[w]
-                row = 0
-                for mask, src, dst in moves:
-                    row |= (bits & mask) >> src << dst
-                adjacency.append(row)
+    for t in range(n * n * field.k):
+        step = p ** t
+        # a 1 at the start of each p * step block
+        starts = every // ((1 << (p * step)) - 1)
+        for c in range(1, p):
+            low = starts * ((1 << ((p - c) * step)) - 1)
+            high = every ^ low
+            up, down = c * step, (p - c) * step
+            adjacency += [(bits & low) << up | (bits & high) >> down
+                          for bits in adjacency[:step]]
     return CayleyGraph(n, field, adjacency)

@@ -399,27 +399,16 @@ def enumerate_matrices(n: int, field: FieldSpec, *, budget: int | None = None):
 
     A budget problem raises eagerly, before the first matrix is produced.
     """
-    size = matrix_space_size(n, field)
-    check_budget(size, budget, f"enumeration of {size} matrices")
+    check_budget([(1, field.q, n * n)], budget, f"enumeration of M_{n}({field!r})")
     return (Matrix._wrap(n, flat, field) for flat in _iter_flat(n, field))
 
 
-def scan_space(
-    n: int,
-    field: FieldSpec,
-    visit,
-    *,
-    passes: int = 1,
-    budget: int | None = None,
-    what: str = "matrix-space scan",
-) -> None:
+def scan_space(n: int, field: FieldSpec, visit) -> None:
     """Call visit(flat_entries) once for every matrix of the space.
 
-    This is the one full-space loop; callers keep their own tallies.  A
-    caller that answers several queries in this single pass, such as one
-    pass over n + 1 shifts, gives their number as passes, and the budget is
-    charged passes * q^(n^2) before the first matrix.
+    This is the one full-space loop; callers keep their own tallies.  It
+    charges nothing: each public entry point charges its whole work through
+    errors.check_budget before it builds anything or calls this.
     """
-    check_budget(passes * matrix_space_size(n, field), budget, what)
     for flat in _iter_flat(n, field):
         visit(flat)

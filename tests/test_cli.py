@@ -9,8 +9,25 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unicayley import census, make_field, srg_decide
+from unicayley import (
+    BudgetExceededError,
+    census,
+    cli,
+    common_neighbors_bruteforce,
+    enumerate_matrices,
+    explicit_graph_build,
+    graph,
+    identity_matrix,
+    intersection_count_oracle,
+    make_field,
+    rank2_case_decomposition_oracle,
+    srg_decide,
+    zero_matrix,
+)
 from unicayley.cli import CHECK_NAMES, main
+
+# 1 followed by 200 zeros: a side whose q^(n^2) no computer can form
+HUGE_N = "1" + "0" * 200
 
 
 def run_cli(capsys, *argv):
@@ -386,6 +403,18 @@ def test_graph_build_budget_counts_vertex_pairs(capsys):
     assert "2147450880 vertex pairs" in err
 
 
+# refusals whose count is printed in full; every other one below is too
+# large to print, or to form, and shows ~10^d
+PRINTABLE = {
+    ("field-info", "--field", "10000000000000061"),
+    ("field-info", "--field", "10000000000000061^1"),
+    ("field-info", "--field", "100000000"),
+    # the count is of decimal digits, about 3 * 10^399 of them
+    ("srg", "--n", HUGE_N, "--field", "2"),
+    ("census", "--n", HUGE_N, "--field", "2", "--method", "formula"),
+}
+
+
 @pytest.mark.parametrize("argv", [
     # counts with more decimal digits than the interpreter converts
     ["census", "--n", "150", "--field", "2", "--method", "oracle"],
@@ -400,6 +429,22 @@ def test_graph_build_budget_counts_vertex_pairs(capsys):
     # oracle passes refused before their n + 1 shifts are built
     ["census", "--n", "400", "--field", "2", "--method", "oracle"],
     ["srg", "--n", "400", "--field", "2", "--method", "oracle"],
+    # work refused from bit lengths, without forming q^(n^2) or |GL_n(q)|
+    ["srg", "--n", "1500", "--field", "3", "--method", "oracle"],
+    ["census", "--n", "3000", "--field", "3", "--method", "oracle"],
+    ["graph-build", "--n", "3000", "--field", "3"],
+    ["census", "--n", "10000", "--field", "3", "--method", "oracle"],
+    ["verify", "--check", "rank-reduction", "--n", "10000", "--field", "3"],
+    ["verify", "--check", "recurrence", "--n", "1500", "--field", "3"],
+    ["graph-build", "--n", "10000", "--field", "3"],
+    # a side with 201 digits, on every path that charges or checks digits
+    ["srg", "--n", HUGE_N, "--field", "2"],
+    ["census", "--n", HUGE_N, "--field", "2", "--method", "formula"],
+    ["census", "--n", HUGE_N, "--field", "2", "--method", "oracle"],
+    ["srg", "--n", HUGE_N, "--field", "2", "--method", "oracle"],
+    ["verify", "--check", "rank1-count", "--n", HUGE_N, "--field", "2"],
+    ["verify", "--check", "recurrence", "--n", HUGE_N, "--field", "2"],
+    ["graph-build", "--n", HUGE_N, "--field", "2"],
 ])
 def test_huge_refusals_exit_3_at_once(capsys, argv):
     start = time.perf_counter()
@@ -408,6 +453,7 @@ def test_huge_refusals_exit_3_at_once(capsys, argv):
     assert time.perf_counter() - start < 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    assert ("~10^" in err) == (tuple(argv) not in PRINTABLE)
 
 
 @pytest.mark.parametrize(
@@ -479,6 +525,39 @@ def test_oracle_queries_make_one_pass(capsys, monkeypatch):
         assert len(calls) == 1, argv
 
 
+def test_no_scan_starts_before_its_charge(capsys, monkeypatch):
+    scans = []
+
+    def no_scan(*args, **kwargs):
+        scans.append(args[:2])
+        raise AssertionError("a scan started before its charge")
+
+    for module in (census, graph, cli):
+        monkeypatch.setattr(module, "scan_space", no_scan)
+    F2 = make_field(2)
+    a, b = zero_matrix(3, F2), identity_matrix(3, F2)
+    for run in (
+        lambda: intersection_count_oracle(1, 3, F2, budget=2),
+        lambda: common_neighbors_bruteforce(a, b, budget=2),
+        lambda: rank2_case_decomposition_oracle(3, F2, budget=2),
+        lambda: enumerate_matrices(3, F2, budget=2),
+        lambda: srg_decide(3, F2, method="oracle", budget=2),
+        lambda: explicit_graph_build(3, F2, budget=2),
+    ):
+        with pytest.raises(BudgetExceededError):
+            run()
+    for argv in (
+        ["census", "--n", "2"],
+        ["srg", "--n", "2", "--method", "oracle"],
+        ["verify", "--check", "all", "--n", "2"],
+        ["graph-build", "--n", "2"],
+    ):
+        code, out, _ = run_cli(capsys, *argv, "--field", "2", "--budget", "2")
+        assert code == 3, argv
+        assert out == ""
+    assert scans == []
+
+
 def test_srg_methods_print_the_same_report(capsys):
     outputs = set()
     for method in ("formula", "oracle"):
@@ -528,7 +607,7 @@ def test_json_outputs_are_byte_identical_across_runs_and_threads(capsys):
     assert output_of(*verify) == output_of(*verify)
 
 
-FUZZ_SIDES = ("1", "2", "3", "4", "5", "0", "-1", "-2", "x")
+FUZZ_SIDES = ("1", "2", "3", "4", "5", "0", "-1", "-2", "x", HUGE_N)
 FUZZ_FIELDS = ("2", "3", "4", "7", "2^2", "2^8", "3^6", "6", "0", "abc")
 
 # Flags each subcommand takes, with valid and invalid values.

@@ -1,6 +1,7 @@
 """Adjacency, invariance laws, the SRG decision, and the pairwise oracle."""
 
 import random
+import time
 
 import pytest
 
@@ -241,6 +242,16 @@ def test_explicit_build_above_table_limit():
     assert "complete" in g.pairwise_srg_test().note
 
 
+def test_explicit_build_n1_is_not_cubic_in_q():
+    # one translation per base-p digit value, two masks per row; moving each
+    # row through q masks per digit value took q^2 big-int steps at n = 1
+    start = time.perf_counter()
+    g = explicit_graph_build(1, make_field(2003))
+    assert time.perf_counter() - start < 0.5
+    assert g.adjacency[0] == (1 << 2003) - 2
+    assert g.edge_count() == 2003 * 2002 // 2
+
+
 def test_explicit_build_budget_refusal():
     with pytest.raises(BudgetExceededError):
         explicit_graph_build(3, F3, budget=100)
@@ -268,7 +279,8 @@ def test_explicit_build_charges_vertex_pairs():
 
 @pytest.mark.parametrize(
     "n,p,k",
-    [(2, 3, 1), (2, 2, 2), (2, 5, 1), (2, 3, 2), (3, 2, 1), (1, 257, 1)],
+    [(2, 3, 1), (2, 2, 2), (2, 5, 1), (2, 3, 2), (3, 2, 1), (1, 257, 1),
+     (1, 2, 8), (1, 3, 5)],
 )
 def test_translated_rows_are_vertex_plus_units(n, p, k):
     # row v of the translation build is {v + u : u invertible}, computed
