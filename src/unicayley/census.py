@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import check_budget
 from .fields import FieldSpec, factor_prime_power
-from .matrices import _det_flat, canonical_rank_matrix, scan_space
+from .matrices import _block_dets, _det_flat, canonical_rank_matrix, scan_space
 
 
 def _check_nq(n: int, q: int) -> None:
@@ -194,25 +195,30 @@ def _shifted_unit_counts(shifts) -> list[int]:
     """Count invertible N with N - d invertible for each shift d, in one pass.
 
     The shifts are matrices of one space M_n(GF(q)); the caller has charged
-    len(shifts) * q^(n^2) matrix-shift pairs.  det(N) is taken once per
-    matrix and det(N - d) only for invertible N and nonzero d, since the
-    zero shift leaves N as it is; each nonzero entry c of d moves N through
-    a precomputed row x -> x - c of the field's subtraction.
+    len(shifts) * q^(n^2) matrix-shift pairs.  In a block of the scan, with
+    first row x and tail T, det(N) = x . C and det(N - d) = x . C' - d_0 . C',
+    where C' is the cofactor vector of T - d_tail and d_0 is d's first row.
+    So the block's table of x . C' (the scan's own when d_tail is zero)
+    decides N - d for every x, against its entry at x = d_0.  Shifts that
+    share a tail share that table.
     """
     n, field = shifts[0].n, shifts[0].field
-    moves = [[(pos, [field.sub(x, c) for x in range(field.q)])
-              for pos, c in enumerate(d.entries) if c] for d in shifts]
+    sub = field.sub_table
+    block_dets = _block_dets(n, field)
+    by_tail: dict[tuple, list] = {}
+    for i, d in enumerate(shifts):
+        by_tail.setdefault(d.entries[n:], []).append((i, d.index() % field.q ** n))
     counts = [0] * len(shifts)
 
-    def visit(flat):
-        if _det_flat(flat, n, field) == 0:
-            return
-        for i, shift in enumerate(moves):
-            shifted = list(flat)
-            for pos, row in shift:
-                shifted[pos] = row[shifted[pos]]
-            if not shift or _det_flat(shifted, n, field) != 0:
-                counts[i] += 1
+    def visit(tail, dets):
+        for move, members in by_tail.items():
+            if any(move):
+                shifted = block_dets([sub[a][b] for a, b in zip(tail, move)])
+            else:
+                shifted = dets
+            kept = list(compress(shifted, dets))  # where N is invertible
+            for i, x0 in members:
+                counts[i] += len(kept) - kept.count(shifted[x0])
 
     scan_space(n, field, visit)
     return counts
@@ -254,21 +260,26 @@ def rank2_case_decomposition_oracle(
         raise ValueError(f"case split needs n >= 3, got {n}")
     check_budget([(1, field.q, n * n)], budget,
                  f"rank-2 case decomposition over M_{n}({field!r})")
-    f = field
-    inc = [f.add(e, 1) for e in range(f.q)]
+    q = field.q
+    inc = [field.add(e, 1) for e in range(q)]
     cases = [0, 0, 0]
 
-    def visit(flat):
-        b00, b01, b10, b11 = flat[0], flat[1], flat[n], flat[n + 1]
-        shifted = (inc[b00], b01, b10, inc[b11])
-        if _det_flat(shifted, 2, f) == 0 or _det_flat(flat, n, f) == 0:
-            return
-        if _det_flat((b00, b01, b10, b11), 2, f) != 0:
-            cases[0] += 1
-        elif b00 == b01 == b10 == b11 == 0:
-            cases[1] += 1
-        else:
-            cases[2] += 1
+    def visit(tail, dets):
+        # the leading block (b00, b01; b10, b11) depends on the first two
+        # digits of the first row: label each, 3 when B1 + I_2 is singular
+        b10, b11 = tail[0], tail[1]
+        labels = []
+        for b01 in range(q):
+            for b00 in range(q):
+                if _det_flat((inc[b00], b01, b10, inc[b11]), 2, field) == 0:
+                    labels.append(3)
+                elif _det_flat((b00, b01, b10, b11), 2, field) != 0:
+                    labels.append(0)
+                else:
+                    labels.append(1 if b00 == b01 == b10 == b11 == 0 else 2)
+        kept = list(compress(labels * q ** (n - 2), dets))  # where B is invertible
+        for case in range(3):
+            cases[case] += kept.count(case)
 
     scan_space(n, field, visit)
     return tuple(cases)

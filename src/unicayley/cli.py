@@ -16,6 +16,7 @@ import math
 import os
 import random
 import sys
+from itertools import product
 
 from .census import (
     CensusRecord,
@@ -44,7 +45,6 @@ from .graph import (
 )
 from .matrices import (
     Matrix,
-    _det_flat,
     canonical_rank_matrix,
     index_to_matrix,
     matrix_space_size,
@@ -233,14 +233,19 @@ def _cmd_census(args) -> int:
 
 
 def _check_rank1_singularity(n, field, seed, budget):
-    inc = [field.add(x, 1) for x in range(field.q)]
+    add = field.add_table
+    rows = [t[::-1] for t in product(range(field.q), repeat=n)]  # index order
     witnesses = []
 
-    def visit(flat):
-        shifted = (inc[flat[0]],) + flat[1:]  # A + E_11
-        lhs = _det_flat(flat, n, field) != 0 and _det_flat(shifted, n, field) == 0
-        if lhs != singular_shift_criterion(Matrix(n, flat, field)):
-            witnesses.append(flat)
+    def visit(tail, dets):
+        # det is linear in row 0, so det(A + E_11) = det(A) + det of the
+        # first row (1, 0, ..., 0), entry 1 of the block
+        c00 = dets[1]
+        for row, det in zip(rows, dets):
+            lhs = det != 0 and add[det][c00] == 0
+            flat = row + tail
+            if lhs != singular_shift_criterion(Matrix(n, flat, field)):
+                witnesses.append(flat)
 
     scan_space(n, field, visit)
     total = matrix_space_size(n, field)

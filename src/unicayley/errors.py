@@ -21,16 +21,19 @@ class BudgetExceededError(RuntimeError):
         *,
         unit: str = "items",
         remedy: str | None = None,
+        at_least: bool = False,
     ):
-        # required is the count, or its text when it is too large to form
+        # required is the count, or its text when it is too large to form;
+        # at_least marks it as a lower bound on the work
         self.required = required
         self.budget = budget
         self.what = what
         count = _count_text(required)
         if remedy is None:
             remedy = f"rerun with a budget of at least {count}"
+        bound = "at least " if at_least else ""
         super().__init__(
-            f"{what} requires {count} {unit} but the budget is {budget}; "
+            f"{what} requires {bound}{count} {unit} but the budget is {budget}; "
             f"{remedy}"
         )
 
@@ -69,9 +72,10 @@ def check_budget(
 
     The one place that compares work with a budget.  The work is the sum of
     c * b^e over terms, positive (c, b, e) such as [(n + 1, q, n * n)].  The
-    first term that _unformable shows over the budget refuses at once as
-    ~10^d, so a lazy iterable yields its largest term first; otherwise the
-    exact sum is formed and a refusal states it.
+    first term that _unformable shows over the budget refuses at once,
+    stating that term, at least ~10^d, as a lower bound on the work, so a
+    lazy iterable yields its largest term first; otherwise the exact sum is
+    formed and a refusal states it.
     """
     effective = DEFAULT_BUDGET if budget is None else budget
     total = 0
@@ -79,7 +83,8 @@ def check_budget(
         if _unformable(c, b, e, effective):
             whole, part = _log10(c, b, e)
             raise BudgetExceededError(f"~10^{whole + round(part)}", effective,
-                                      what, unit=unit, remedy=remedy)
+                                      what, unit=unit, remedy=remedy,
+                                      at_least=True)
         total += c * b ** e
     if total > effective:
         raise BudgetExceededError(total, effective, what, unit=unit, remedy=remedy)

@@ -28,7 +28,6 @@ from .errors import check_budget
 from .fields import FieldSpec
 from .matrices import (
     Matrix,
-    _det_flat,
     canonical_rank_matrix,
     matrix_space_size,
     scan_space,
@@ -232,9 +231,16 @@ class CayleyGraph:
                 self.order, None, None, None, False, note="not regular"
             )
         degree = degrees.pop()
+        adj = self.adjacency
+        every = (1 << self.order) - 1
+        if all(bits == every ^ (1 << i) for i, bits in enumerate(adj)):
+            # every pair is adjacent, with order - 2 common neighbors
+            return PairwiseSrgResult(
+                self.order, degree, self.order - 2, None, False,
+                note="complete graph: no non-adjacent pairs",
+            )
         lam_vals: set[int] = set()
         mu_vals: set[int] = set()
-        adj = self.adjacency
         for i in range(self.order):
             bits = adj[i]
             for j in range(i + 1, self.order):
@@ -243,11 +249,6 @@ class CayleyGraph:
                     lam_vals.add(c)
                 else:
                     mu_vals.add(c)
-        if not mu_vals:
-            return PairwiseSrgResult(
-                self.order, degree, lam_vals.pop() if len(lam_vals) == 1 else None,
-                None, False, note="complete graph: no non-adjacent pairs",
-            )
         if len(lam_vals) != 1 or len(mu_vals) != 1:
             return PairwiseSrgResult(
                 self.order, degree, None, None, False,
@@ -280,10 +281,10 @@ def explicit_graph_build(
     order = matrix_space_size(n, field)
     check_budget([(order * (order - 1) // 2, 1, 1)], budget,
                  "explicit graph build", unit="vertex pairs")
-    marks = []
-    scan_space(n, field,
-               lambda flat: marks.append("1" if _det_flat(flat, n, field) else "0"))
-    adjacency = [int("".join(reversed(marks)), 2)]
+    blocks = []
+    scan_space(n, field, lambda tail, dets: blocks.append(
+        "".join(["1" if d else "0" for d in reversed(dets)])))
+    adjacency = [int("".join(reversed(blocks)), 2)]
     p = field.p
     every = (1 << order) - 1
     for t in range(n * n * field.k):

@@ -386,11 +386,11 @@ def index_to_matrix(i: int, n: int, field: FieldSpec) -> Matrix:
     return Matrix._wrap(n, tuple(flat), field)
 
 
-def _iter_flat(n: int, field: FieldSpec):
-    """Yield flat entry tuples in ascending index order."""
+def _iter_flat(size: int, q: int):
+    """Yield every tuple of size base-q digits, in ascending index order."""
     # itertools.product counts with its leftmost slot most significant;
-    # reversing each tuple restores the row-major digit convention.
-    for t in product(range(field.q), repeat=n * n):
+    # reversing each tuple puts the least significant digit first.
+    for t in product(range(q), repeat=size):
         yield t[::-1]
 
 
@@ -400,15 +400,49 @@ def enumerate_matrices(n: int, field: FieldSpec, *, budget: int | None = None):
     A budget problem raises eagerly, before the first matrix is produced.
     """
     check_budget([(1, field.q, n * n)], budget, f"enumeration of M_{n}({field!r})")
-    return (Matrix._wrap(n, flat, field) for flat in _iter_flat(n, field))
+    return (Matrix._wrap(n, flat, field) for flat in _iter_flat(n * n, field.q))
+
+
+def _block_dets(n: int, field: FieldSpec):
+    """Return dets(tail): the determinants of one block, for every first row.
+
+    tail is rows 1..n-1 flat, and entry x of dets(tail) belongs to the first
+    row whose base-q digits, least significant first, are x's.  Expanding
+    along row 0 gives det = sum_j x_j * C_j, C_j = (-1)^j times the minor of
+    tail without column j (1 for n = 1, the empty minor), so the q^n values
+    come from n minors, tabulated one digit x_j at a time.
+    """
+    q, add, mul = field.q, field.add_table, field.mul_table
+    neg = field.sub_table[0]
+    minors = [[i for i in range(n * n - n) if i % n != j] for j in range(n)]
+
+    def dets(tail) -> list[int]:
+        out = None
+        for j, positions in enumerate(minors):
+            c = _det_flat([tail[i] for i in positions], n - 1, field)
+            mc = mul[neg[c] if j % 2 else c]
+            if out is None:
+                out = [mc[d] for d in range(q)]
+            elif c == 0:
+                out *= q
+            else:
+                out = [s for d in range(q) for s in map(add[mc[d]].__getitem__, out)]
+        return out
+
+    return dets
 
 
 def scan_space(n: int, field: FieldSpec, visit) -> None:
-    """Call visit(flat_entries) once for every matrix of the space.
+    """Call visit(tail, dets) once per block of the space, in ascending index order.
 
-    This is the one full-space loop; callers keep their own tallies.  It
-    charges nothing: each public entry point charges its whole work through
-    errors.check_budget before it builds anything or calls this.
+    Row 0 holds the n least significant base-q digits of a matrix index, so
+    the q^n matrices that share rows 1..n-1 (the flat tuple tail) form one
+    block of consecutive indices; dets lists their determinants in index
+    order (see _block_dets).  This is the one full-space loop; callers keep
+    their own tallies.  It charges nothing: each public entry point charges
+    its whole work through errors.check_budget before it builds anything or
+    calls this.
     """
-    for flat in _iter_flat(n, field):
-        visit(flat)
+    dets = _block_dets(n, field)
+    for tail in _iter_flat(n * n - n, field.q):
+        visit(tail, dets(tail))

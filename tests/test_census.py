@@ -8,9 +8,13 @@ import pytest
 from unicayley import (
     BudgetExceededError,
     CensusRecord,
+    Matrix,
     canonical_rank_matrix,
     derangements_formula,
+    enumerate_matrices,
     gl_order,
+    identity_matrix,
+    index_to_matrix,
     intersection_count_formula,
     intersection_count_oracle,
     make_field,
@@ -21,7 +25,7 @@ from unicayley import (
     srg_parameters_n2,
     zero_matrix,
 )
-from unicayley import census
+from unicayley import matrices
 from unicayley.census import _shifted_unit_counts, shifted_count_recursion
 
 from helpers import random_distinct_pair
@@ -203,18 +207,44 @@ def test_fused_scan_equals_one_scan_per_shift(n, field):
     assert len(set(fused[:n + 1])) == n + 1
 
 
+@pytest.mark.parametrize("n,field", [(1, make_field(3, 6)), (2, F3), (2, F4),
+                                     (3, F2)])
+def test_shifted_counts_equal_per_matrix_count(n, field):
+    # the zero shift, a shift in row 0 alone, one off the diagonal in the
+    # tail alone, and random shifts, against each matrix decided on its own
+    q = field.q
+    row0 = Matrix(n, [1] * n + [0] * (n * n - n), field)
+    shifts = [zero_matrix(n, field), row0]
+    if n > 1:
+        shifts.append(Matrix(n, [0] * n + [1] + [0] * (n * n - n - 1), field))
+    rng = random.Random(13)
+    shifts += [index_to_matrix(rng.randrange(q ** (n * n)), n, field)
+               for _ in range(6)]
+    expected = [
+        sum(m.is_invertible() and (m - d).is_invertible()
+            for m in enumerate_matrices(n, field))
+        for d in shifts
+    ]
+    assert _shifted_unit_counts(shifts) == expected
+
+
 def test_zero_shift_takes_no_second_determinant(monkeypatch):
-    # N - 0 = N, so only det(N) is taken: one per matrix, none per unit
+    # N - 0 = N, so only the scan's cofactors are taken: one vector of n
+    # minors per block of q^n matrices, none per unit
     calls = []
-    det = census._det_flat
+    det = matrices._det_flat
 
     def counted(*args):
         calls.append(1)
         return det(*args)
 
-    monkeypatch.setattr(census, "_det_flat", counted)
+    monkeypatch.setattr(matrices, "_det_flat", counted)
     assert _shifted_unit_counts([zero_matrix(2, F3)]) == [48]
-    assert len(calls) == 81
+    assert len(calls) == 9 * 2
+    calls.clear()
+    # a shift with a nonzero tail takes a second cofactor vector per block
+    assert _shifted_unit_counts([identity_matrix(2, F3)]) == [27]
+    assert len(calls) == 9 * 2 * 2
 
 
 def test_intersection_oracle_full_rank_is_derangement_count():

@@ -456,6 +456,21 @@ def test_huge_refusals_exit_3_at_once(capsys, argv):
     assert ("~10^" in err) == (tuple(argv) not in PRINTABLE)
 
 
+def test_unformable_refusal_states_a_lower_bound(capsys):
+    # the first term too large to form, 3^(10^8) for rank1-singularity, is
+    # stated as a lower bound: all five checks make about 55 * 3^(10^8)
+    code, out, err = run_cli(capsys, "verify", "--check", "all", "--n", "10000",
+                             "--field", "3")
+    assert code == 3
+    assert out == ""
+    assert "requires at least ~10^47712125 items" in err
+    # a sum small enough to form is stated exactly
+    code, _, err = run_cli(capsys, "census", "--n", "2", "--field", "3",
+                           "--method", "oracle", "--budget", "242")
+    assert code == 3
+    assert "requires 243 items" in err
+
+
 @pytest.mark.parametrize(
     "check,n,field,scans",
     [

@@ -25,6 +25,7 @@ from unicayley import (
     srg_decide,
     zero_matrix,
 )
+from unicayley.graph import CayleyGraph, PairwiseSrgResult
 
 from helpers import random_distinct_pair, random_invertible, random_matrix
 
@@ -250,6 +251,31 @@ def test_explicit_build_n1_is_not_cubic_in_q():
     assert time.perf_counter() - start < 0.5
     assert g.adjacency[0] == (1 << 2003) - 2
     assert g.edge_count() == 2003 * 2002 // 2
+
+
+def test_pairwise_complete_graph_is_not_cubic_in_q():
+    # n = 1 gives a complete graph, settled row by row without the
+    # order^2 / 2 pair loop, whose big-int ANDs took seconds at q = 4001
+    g = explicit_graph_build(1, make_field(4001))
+    start = time.perf_counter()
+    res = g.pairwise_srg_test()
+    assert time.perf_counter() - start < 1
+    assert res == PairwiseSrgResult(4001, 4000, 3999, None, False,
+                                    note="complete graph: no non-adjacent pairs")
+
+
+def test_pairwise_self_loop_graph_is_not_complete():
+    # a self-loop at 0 and 1 in place of the edge 0-1 keeps every degree at
+    # order - 1, so only the exact row check tells it from a complete graph
+    g = explicit_graph_build(1, make_field(5))
+    rows = list(g.adjacency)
+    rows[0] = rows[0] ^ 0b11
+    rows[1] = rows[1] ^ 0b11
+    looped = CayleyGraph(1, g.field, rows)
+    assert {looped.degree(i) for i in range(5)} == {4}
+    res = looped.pairwise_srg_test()
+    assert res.note != "complete graph: no non-adjacent pairs"
+    assert res.mu is not None  # the pair (0, 1) was tested as non-adjacent
 
 
 def test_explicit_build_budget_refusal():

@@ -2,6 +2,7 @@
 
 import ast
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from unicayley import (
     singular_shift_criterion,
     zero_matrix,
 )
+from unicayley.matrices import _det_flat, scan_space
 from helpers import random_invertible, random_matrix
 
 F2 = make_field(2)
@@ -315,3 +317,39 @@ def test_only_matrices_enumerates_the_space():
     ]
     assert len(list(package.glob("*.py"))) >= 7
     assert offenders == []
+
+
+@pytest.mark.parametrize("n,p,k", [(1, 2, 1), (1, 3, 6), (2, 3, 1), (2, 2, 2),
+                                   (3, 2, 1), (4, 2, 1)])
+def test_block_dets_equal_per_matrix_determinants(n, p, k):
+    # every matrix's determinant from its block's row-0 expansion equals the
+    # elimination kernel's, in index order; GF(3^6) lies above TABLE_LIMIT
+    field = make_field(p, k)
+    matrices = enumerate_matrices(n, field)
+    blocks = []
+
+    def visit(tail, dets):
+        blocks.append(len(dets))
+        for det in dets:
+            m = next(matrices)
+            assert m.entries[n:] == tail
+            assert det == _det_flat(m.entries, n, field)
+
+    scan_space(n, field, visit)
+    assert next(matrices, None) is None
+    assert blocks == [field.q ** n] * field.q ** (n * n - n)
+
+
+def test_package_imports_only_the_standard_library():
+    # the package runs on a bare interpreter; a third-party import that
+    # happens to be installed would pass every other test
+    package = Path(unicayley.__file__).parent
+    roots = set()
+    for module in package.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Import):
+                roots.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots.add(node.module.split(".")[0])
+    assert roots
+    assert sorted(roots - set(sys.stdlib_module_names) - {"unicayley"}) == []
