@@ -19,7 +19,7 @@ from .census import (
     rank2_intersection_formula,
     srg_parameters_n2,
 )
-from .errors import DEFAULT_BUDGET, BudgetExceededError, SingularMatrixError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .fields import FieldSpec, is_irreducible, make_field
 from .graph import (
     CayleyGraph,
@@ -34,7 +34,6 @@ from .graph import (
 )
 from .matrices import (
     Matrix,
-    RankFactorization,
     canonical_rank_matrix,
     enumerate_matrices,
     identity_matrix,
@@ -42,7 +41,6 @@ from .matrices import (
     matrix_from_rows,
     matrix_space_size,
     parse_matrix,
-    rank_factorize,
     singular_shift_criterion,
     zero_matrix,
 )
@@ -57,8 +55,6 @@ __all__ = [
     "FieldSpec",
     "Matrix",
     "PairwiseSrgResult",
-    "RankFactorization",
-    "SingularMatrixError",
     "SrgReport",
     "SrgWitness",
     "adjacent",
@@ -82,7 +78,6 @@ __all__ = [
     "rank2_case_decomposition_oracle",
     "rank2_case_formulas",
     "rank2_intersection_formula",
-    "rank_factorize",
     "singular_shift_criterion",
     "srg_decide",
     "srg_parameters_n2",

@@ -191,11 +191,23 @@ def srg_parameters_n2(q: int) -> tuple[int, int, int, int]:
 # --- enumeration oracles --------------------------------------------------------
 
 
+def _charge_oracle_pass(shifts: int, n: int, field: FieldSpec,
+                        budget: int | None) -> None:
+    """Charge one _shifted_unit_counts pass over shifts matrices of M_n(GF(q)).
+
+    The pass visits shifts * q^(n^2) matrix-shift pairs.  Call it before
+    building the shifts, so that a refused pass allocates nothing.
+    """
+    noun = "shift" if shifts == 1 else "shifts"
+    check_budget([(shifts, field.q, n * n)], budget,
+                 f"oracle pass over {shifts} {noun} in M_{n}({field!r})")
+
+
 def _shifted_unit_counts(shifts) -> list[int]:
     """Count invertible N with N - d invertible for each shift d, in one pass.
 
     The shifts are matrices of one space M_n(GF(q)); the caller has charged
-    len(shifts) * q^(n^2) matrix-shift pairs.  In a block of the scan, with
+    the pass with _charge_oracle_pass.  In a block of the scan, with
     first row x and tail T, det(N) = x . C and det(N - d) = x . C' - d_0 . C',
     where C' is the cofactor vector of T - d_tail and d_0 is d's first row.
     So the block's table of x . C' (the scan's own when d_tail is zero)
@@ -236,8 +248,7 @@ def intersection_count_oracle(
     For r = 0 this degenerates to the invertible-matrix count; for r = n it is
     the linear-derangement count.
     """
-    check_budget([(1, field.q, n * n)], budget,
-                 f"oracle pass over 1 shifts in M_{n}({field!r})")
+    _charge_oracle_pass(1, n, field, budget)
     return _shifted_unit_counts([canonical_rank_matrix(n, r, field)])[0]
 
 

@@ -20,6 +20,7 @@ from itertools import product
 
 from .census import (
     CensusRecord,
+    _charge_oracle_pass,
     _shifted_unit_counts,
     derangements_formula,
     intersection_count_formula,
@@ -168,9 +169,7 @@ def _census_records(args, n, field, budget):
             raise UsageError(f"--rank must lie in [0, {n}], got {r}")
     ranks = range(n + 1) if r is None else [r]
     if method != "formula":
-        count = n + 1 if r is None else 1
-        check_budget([(count, q, n * n)], budget,
-                     f"oracle pass over {count} shifts in M_{n}({field!r})")
+        _charge_oracle_pass(n + 1 if r is None else 1, n, field, budget)
         oracle = _shifted_unit_counts(
             [b - a] if pair_info else [canonical_rank_matrix(n, r, field) for r in ranks])
 
@@ -243,14 +242,14 @@ def _check_rank1_singularity(n, field, seed, budget):
         c00 = dets[1]
         for row, det in zip(rows, dets):
             lhs = det != 0 and add[det][c00] == 0
-            flat = row + tail
-            if lhs != singular_shift_criterion(Matrix(n, flat, field)):
+            flat = row + tail  # entries from the scan: no need to check them
+            if lhs != singular_shift_criterion(Matrix._wrap(n, flat, field)):
                 witnesses.append(flat)
 
     scan_space(n, field, visit)
     total = matrix_space_size(n, field)
     if witnesses:
-        first = Matrix(n, witnesses[0], field).to_literal()
+        first = Matrix._wrap(n, witnesses[0], field).to_literal()
         return False, (
             f"{len(witnesses)} of {total} matrices split the equivalence; "
             f"first witness {first}"

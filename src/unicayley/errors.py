@@ -1,12 +1,12 @@
-"""Shared exception types and the one budget gate, check_budget."""
+"""The budget exception and the one budget gate, check_budget."""
 
 from __future__ import annotations
 
 import math
 
 # Default ceiling on the number of items any full-space enumeration may
-# touch.  Keeps desk-scale runs under minutes; override per call or via the
-# CLI --budget flag.
+# touch.  Keeps desk-scale runs under minutes; override per call, or on the
+# CLI with --budget or $UNICAYLEY_BUDGET.
 DEFAULT_BUDGET = 1 << 26
 
 
@@ -44,10 +44,6 @@ def _count_text(count: int | str) -> str:
         return str(count)
     except ValueError:
         return f"~10^{round(math.log10(count))}"
-
-
-class SingularMatrixError(ValueError):
-    """A matrix with determinant zero was passed where an inverse is needed."""
 
 
 def _unformable(c: int, b: int, e: int, bound: int) -> bool:

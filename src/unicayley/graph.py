@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .census import (
+    _charge_oracle_pass,
     _shifted_unit_counts,
     gl_order,
     intersection_count_formula,
@@ -52,8 +53,7 @@ def common_neighbors_bruteforce(
     M is adjacent to both exactly when N = M - a and N - (b - a) are
     invertible, and N runs over the whole space as M does; no rank theory.
     """
-    check_budget([(1, a.field.q, a.n * a.n)], budget,
-                 f"oracle pass over 1 shifts in M_{a.n}({a.field!r})")
+    _charge_oracle_pass(1, a.n, a.field, budget)
     return _shifted_unit_counts([b - a])[0]
 
 
@@ -143,8 +143,7 @@ def srg_decide(
         raise ValueError(f"method must be one of {SRG_METHODS}, got {method!r}")
     q = field.q
     if method == "oracle":
-        check_budget([(n + 1, q, n * n)], budget,
-                     f"oracle pass over {n + 1} shifts in M_{n}({field!r})")
+        _charge_oracle_pass(n + 1, n, field, budget)
     order = matrix_space_size(n, field)
     degree = gl_order(n, q)
     if method == "formula":

@@ -1,17 +1,15 @@
 """Exact dense n x n matrices over a FieldSpec.
 
-Covers ring arithmetic, rank, determinant, inverse, the two-sided rank
-factorization P*A*Q = diag(I_r, 0), the linear-derangement predicate, and
-canonical enumeration of the full matrix space by integer index (entry (0,0)
-is the least significant base-q digit).
+Covers ring arithmetic, rank, determinant, the paper's singular-shift lemma,
+and canonical enumeration of the full matrix space by integer index (entry
+(0,0) is the least significant base-q digit).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .errors import SingularMatrixError, check_budget
+from .errors import check_budget
 from .fields import FieldSpec
 
 
@@ -79,10 +77,6 @@ class Matrix:
             self.field,
         )
 
-    def __neg__(self) -> "Matrix":
-        neg = self.field.sub_table[0]
-        return Matrix._wrap(self.n, tuple(neg[a] for a in self.entries), self.field)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._same_space(other)
         n = self.n
@@ -100,12 +94,6 @@ class Matrix:
                 out[base + j] = acc
         return Matrix._wrap(n, tuple(out), f)
 
-    def scalar_mul(self, c: int) -> "Matrix":
-        f = self.field
-        f._check(c)
-        row = f.mul_table[c]
-        return Matrix._wrap(self.n, tuple(row[a] for a in self.entries), f)
-
     def determinant(self) -> int:
         return _det_flat(self.entries, self.n, self.field)
 
@@ -116,22 +104,6 @@ class Matrix:
 
     def is_invertible(self) -> bool:
         return _det_flat(self.entries, self.n, self.field) != 0
-
-    def inverse(self) -> "Matrix":
-        """Q @ P from the rank factorization P A Q = I.
-
-        Raises SingularMatrixError on rank < n.
-        """
-        fact = rank_factorize(self)
-        if fact.rank < self.n:
-            raise SingularMatrixError(f"matrix of rank < {self.n} has no inverse")
-        return fact.Q @ fact.P
-
-    def is_linear_derangement(self) -> bool:
-        """True iff the matrix and its shift by -I are both invertible."""
-        if not self.is_invertible():
-            return False
-        return (self - identity_matrix(self.n, self.field)).is_invertible()
 
     def index(self) -> int:
         """Position of this matrix in the canonical enumeration of its space."""
@@ -274,74 +246,6 @@ def _rank_rows(rows: list[list[int]], field: FieldSpec) -> int:
         if rank == m:
             break
     return rank
-
-
-@dataclass(frozen=True)
-class RankFactorization:
-    """Witness (P, Q, rank) with P * A * Q = diag(I_rank, 0), P and Q invertible."""
-
-    P: Matrix
-    Q: Matrix
-    rank: int
-
-
-def rank_factorize(a: Matrix) -> RankFactorization:
-    """Two-sided Gauss-Jordan reduction of a to diag(I_r, 0).
-
-    Row operations accumulate into P, column operations into Q.  Any witness
-    satisfying the product identity is acceptable; this one is deterministic
-    but not canonical.
-    """
-    n = a.n
-    f = a.field
-    sub, mul, inv = f.sub_table, f.mul_table, f.inv_table
-    b = [list(a.entries[i * n:(i + 1) * n]) for i in range(n)]
-    pmat = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    qmat = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    rank = 0
-    for t in range(n):
-        pivot = None
-        for j in range(t, n):
-            for i in range(t, n):
-                if b[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            b[t], b[pi] = b[pi], b[t]
-            pmat[t], pmat[pi] = pmat[pi], pmat[t]
-        if pj != t:
-            for row in b:
-                row[t], row[pj] = row[pj], row[t]
-            for row in qmat:
-                row[t], row[pj] = row[pj], row[t]
-        pv = b[t][t]
-        if pv != 1:
-            scale = mul[inv[pv]]
-            b[t] = [scale[x] for x in b[t]]
-            pmat[t] = [scale[x] for x in pmat[t]]
-        prow = b[t]
-        for i in range(n):
-            if i != t and b[i][t] != 0:
-                mc = mul[b[i][t]]
-                b[i] = [sub[x][mc[y]] for x, y in zip(b[i], prow)]
-                pmat[i] = [sub[x][mc[y]] for x, y in zip(pmat[i], pmat[t])]
-        for j in range(t + 1, n):
-            c = b[t][j]
-            if c != 0:
-                mc = mul[c]
-                for row in b:
-                    row[j] = sub[row[j]][mc[row[t]]]
-                for row in qmat:
-                    row[j] = sub[row[j]][mc[row[t]]]
-        rank += 1
-    p = Matrix._wrap(n, tuple(x for row in pmat for x in row), f)
-    q = Matrix._wrap(n, tuple(x for row in qmat for x in row), f)
-    return RankFactorization(p, q, rank)
 
 
 def singular_shift_criterion(a: Matrix) -> bool:

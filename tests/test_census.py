@@ -254,8 +254,12 @@ def test_intersection_oracle_full_rank_is_derangement_count():
 def test_derangement_oracle_agrees_with_matrix_predicate():
     from unicayley import enumerate_matrices
 
-    count = sum(m.is_linear_derangement() for m in enumerate_matrices(2, F3))
-    assert count == intersection_count_oracle(2, 2, F3) == derangements_formula(2, 3)
+    for field in (F2, F3):
+        ident = identity_matrix(2, field)
+        count = sum(m.is_invertible() and (m - ident).is_invertible()
+                    for m in enumerate_matrices(2, field))
+        assert count == intersection_count_oracle(2, 2, field)
+        assert count == derangements_formula(2, field.q)
 
 
 @pytest.mark.parametrize("q,field_args", [(5, (5,)), (7, (7,)), (8, (2, 3)), (9, (3, 2))])

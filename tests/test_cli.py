@@ -516,6 +516,30 @@ def test_census_budget_counts_every_shift(capsys, extra, needed):
     assert "oracle: 27" in out
 
 
+def test_oracle_refusals_count_their_shifts(capsys):
+    # every oracle entry point words its charge the same way, singular for
+    # one; 80 admits GF(3) but not one pass over its 81 matrices
+    F3 = make_field(3)
+    a, b = zero_matrix(2, F3), identity_matrix(2, F3)
+    for run, shifts in (
+        (lambda: intersection_count_oracle(1, 2, F3, budget=80), "1 shift"),
+        (lambda: common_neighbors_bruteforce(a, b, budget=80), "1 shift"),
+        (lambda: srg_decide(2, F3, method="oracle", budget=80), "3 shifts"),
+    ):
+        with pytest.raises(BudgetExceededError) as exc:
+            run()
+        assert str(exc.value).startswith(
+            f"oracle pass over {shifts} in M_2(GF(3)) requires ")
+    for extra, shifts in (([], "3 shifts"), (["--rank", "1"], "1 shift"),
+                          (PAIR, "1 shift")):
+        code, out, err = run_cli(capsys, "census", "--n", "2", "--field", "3",
+                                 "--method", "oracle", "--budget", "80", *extra)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            f"error: oracle pass over {shifts} in M_2(GF(3)) requires ")
+
+
 def test_oracle_queries_make_one_pass(capsys, monkeypatch):
     calls = []
     scan = census.scan_space

@@ -1,4 +1,4 @@
-"""Matrix arithmetic, elimination kernels, rank factorization, enumeration."""
+"""Matrix arithmetic, elimination kernels, enumeration."""
 
 import ast
 import random
@@ -6,13 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import unicayley
 from unicayley import (
     BudgetExceededError,
     Matrix,
-    SingularMatrixError,
     canonical_rank_matrix,
     enumerate_matrices,
     identity_matrix,
@@ -21,7 +20,6 @@ from unicayley import (
     matrix_space_size,
     make_field,
     parse_matrix,
-    rank_factorize,
     singular_shift_criterion,
     zero_matrix,
 )
@@ -80,11 +78,6 @@ def test_product_example_char2():
     assert m @ m == identity_matrix(2, F2)
 
 
-def test_scalar_mul():
-    m = parse_matrix("1,2;0,1", F3)
-    assert m.scalar_mul(2) == parse_matrix("2,1;0,2", F3)
-
-
 def test_mismatch_errors():
     with pytest.raises(ValueError, match="field"):
         identity_matrix(2, F2) + identity_matrix(2, F3)
@@ -110,63 +103,12 @@ def test_invertible_count_gf2_2x2():
     assert count == 6
 
 
-def test_inverse_examples():
-    assert identity_matrix(3, F3).inverse() == identity_matrix(3, F3)
-    perm = parse_matrix("0,1,0;0,0,1;1,0,0", F2)
-    transpose = matrix_from_rows(
-        [[perm.entry(j, i) for j in range(3)] for i in range(3)], F2
-    )
-    assert perm.inverse() == transpose
-    assert parse_matrix("2,0;0,2", F3).inverse() == parse_matrix("2,0;0,2", F3)
-    with pytest.raises(SingularMatrixError):
-        zero_matrix(2, F2).inverse()
-
-
 @pytest.mark.parametrize("n,field", [(2, F2), (2, F3), (3, F2), (2, F4), (2, F5)])
-def test_rank_det_inverse_agree_exhaustive(n, field):
-    ident = identity_matrix(n, field)
+def test_rank_det_invertible_agree_exhaustive(n, field):
     for m in enumerate_matrices(n, field):
         full_rank = m.rank() == n
         assert full_rank == (m.determinant() != 0)
         assert full_rank == m.is_invertible()
-        if full_rank:
-            assert m @ m.inverse() == ident
-        else:
-            with pytest.raises(SingularMatrixError):
-                m.inverse()
-
-
-def test_rank_factorize_trivial_cases():
-    fact = rank_factorize(zero_matrix(3, F3))
-    assert fact.rank == 0
-    inv = parse_matrix("1,1;0,1", F2)
-    fact = rank_factorize(inv)
-    assert fact.rank == 2
-    e12 = parse_matrix("0,1;0,0", F2)
-    fact = rank_factorize(e12)
-    assert fact.rank == 1
-    assert fact.P @ e12 @ fact.Q == canonical_rank_matrix(2, 1, F2)
-
-
-@pytest.mark.parametrize("n,field", [(2, F2), (2, F3), (3, F2)])
-def test_rank_factorize_postcondition_exhaustive(n, field):
-    for m in enumerate_matrices(n, field):
-        fact = rank_factorize(m)
-        assert fact.rank == m.rank()
-        assert fact.P.is_invertible()
-        assert fact.Q.is_invertible()
-        assert fact.P @ m @ fact.Q == canonical_rank_matrix(n, fact.rank, field)
-
-
-@pytest.mark.parametrize("n,field,trials", [(3, F3, 60), (4, F2, 60), (3, F5, 40)])
-def test_rank_factorize_postcondition_random(n, field, trials):
-    rng = random.Random(20_240_311 + n + field.q)
-    for _ in range(trials):
-        m = random_matrix(rng, n, field)
-        fact = rank_factorize(m)
-        assert fact.P.is_invertible()
-        assert fact.Q.is_invertible()
-        assert fact.P @ m @ fact.Q == canonical_rank_matrix(n, fact.rank, field)
 
 
 @pytest.mark.parametrize("n,field", [(2, F3), (3, F2), (3, F3)])
@@ -177,13 +119,6 @@ def test_rank_invariant_under_invertible_factors(n, field):
         p = random_invertible(rng, n, field)
         q = random_invertible(rng, n, field)
         assert (p @ m @ q).rank() == m.rank()
-
-
-def test_linear_derangement_examples():
-    assert not identity_matrix(2, F2).is_linear_derangement()
-    assert not zero_matrix(2, F2).is_linear_derangement()
-    count = sum(m.is_linear_derangement() for m in enumerate_matrices(2, F2))
-    assert count == 2
 
 
 def test_singular_shift_criterion_examples():
@@ -272,27 +207,18 @@ def test_determinant_is_multiplicative(field, n, data):
 @pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=repr)
 @PROPERTY_SETTINGS
 @given(n=st.integers(1, 4), data=st.data())
-def test_inverse_is_a_right_inverse(field, n, data):
-    a = draw_matrix(data, n, field)
-    assume(a.is_invertible())
-    assert a @ a.inverse() == identity_matrix(n, field)
-
-
-@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=repr)
-@PROPERTY_SETTINGS
-@given(n=st.integers(1, 4), data=st.data())
-def test_rank_factorize_postcondition_property(field, n, data):
+def test_rank_properties(field, n, data):
     # a product through k columns has rank at most k, so every rank occurs
     k = data.draw(st.integers(0, n))
     a = draw_matrix(data, n, field)
     b = draw_matrix(data, n, field)
     thin = Matrix(n, [e if i % n < k else 0 for i, e in enumerate(a.entries)], field)
     m = thin @ b
-    fact = rank_factorize(m)
-    assert fact.rank == m.rank()
-    assert fact.P.is_invertible()
-    assert fact.Q.is_invertible()
-    assert fact.P @ m @ fact.Q == canonical_rank_matrix(n, fact.rank, field)
+    rank = m.rank()
+    transpose = Matrix(n, [m.entry(j, i) for i in range(n) for j in range(n)], field)
+    assert rank <= k
+    assert transpose.rank() == rank
+    assert (rank == n) == (m.determinant() != 0)
 
 
 def _names(tree):
