@@ -13,8 +13,8 @@ enumeration.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import check_budget
 from .fields import FieldSpec, factor_prime_power
@@ -296,8 +296,7 @@ def rank2_case_decomposition_oracle(
     return tuple(cases)
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """One exact count keyed by (n, q, rank) and the method that produced it."""
 
     n: int

@@ -10,7 +10,6 @@ byte-identical documents.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -208,6 +207,7 @@ def _cmd_census(args) -> int:
             doc["pair"] = pair_info
         _print_json(doc)
     elif args.output == "csv":
+        import csv  # only this branch uses it; a top-level import costs every call
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "q", "rank", "method", "count", "agrees"])
         for rec in records:

@@ -15,8 +15,8 @@ an independent check that assumes neither rank theory nor vertex-transitivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .census import (
     _charge_oracle_pass,
@@ -69,16 +69,14 @@ def common_neighbors_by_rank(a: Matrix, b: Matrix) -> int:
     return intersection_count_formula(r, a.n, a.field.q)
 
 
-@dataclass(frozen=True)
-class SrgWitness:
+class SrgWitness(NamedTuple):
     """Two rank classes whose common-neighbor counts disagree."""
 
     rank_pair: tuple[int, int]
     counts: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SrgReport:
+class SrgReport(NamedTuple):
     """Verdict of the strong-regularity decision for one (n, q)."""
 
     n: int
@@ -192,8 +190,7 @@ def srg_decide(
     )
 
 
-@dataclass(frozen=True)
-class PairwiseSrgResult:
+class PairwiseSrgResult(NamedTuple):
     """From-scratch verdict obtained by examining every vertex pair."""
 
     order: int

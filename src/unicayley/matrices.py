@@ -234,17 +234,19 @@ def _rank_rows(rows: list[list[int]], field: FieldSpec) -> int:
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
         prow = rows[rank]
+        rank += 1
+        if rank == m:
+            # no row left to eliminate: skip the pivot's inverse, a
+            # square-and-multiply on fields too large for stored tables
+            break
         ipv = inv[prow[col]]
-        for r in range(rank + 1, m):
+        for r in range(rank, m):
             lead = rows[r][col]
             if lead != 0:
                 mc = mul[mul[lead][ipv]]
                 rr = rows[r]
                 for j in range(col, width):
                     rr[j] = sub[rr[j]][mc[prow[j]]]
-        rank += 1
-        if rank == m:
-            break
     return rank
 
 

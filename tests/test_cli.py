@@ -25,6 +25,7 @@ from unicayley import (
     zero_matrix,
 )
 from unicayley.cli import CHECK_NAMES, main
+from helpers import run_module, run_python
 
 # 1 followed by 200 zeros: a side whose q^(n^2) no computer can form
 HUGE_N = "1" + "0" * 200
@@ -694,3 +695,28 @@ def test_every_argv_keeps_the_exit_code_contract(monkeypatch):
         assert code in (0, 1, 2, 3), argv
 
     check()
+
+
+def test_import_loads_no_dataclasses_inspect_or_csv():
+    # every call pays for this import: dataclasses pulls in inspect, ast,
+    # dis and tokenize, and only census --output csv needs csv
+    code = ("import sys, unicayley.cli; "
+            "print(sorted({'csv', 'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert run_python("-c", code) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("argv, expected, first_line", [
+    (["srg", "--n", "2", "--field", "3", "--output", "json"], 0, "{"),
+    (["census", "--n", "2", "--field", "2", "--rank", "1", "--output", "csv"],
+     0, "n,q,rank,method,count,agrees"),
+    (["srg", "--n", "2", "--field", "3", "--output", "csv"], 2, ""),
+    (["graph-build", "--n", "2", "--field", "16"], 3, ""),
+])
+def test_module_entry_point_matches_main(capsys, monkeypatch, argv, expected,
+                                         first_line):
+    code, out, err = run_module(*argv)
+    assert code == expected
+    assert out.split("\n")[0] == first_line
+    assert "Traceback" not in err
+    monkeypatch.delenv("UNICAYLEY_BUDGET", raising=False)
+    assert run_cli(capsys, *argv) == (code, out, err)

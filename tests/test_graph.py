@@ -7,6 +7,7 @@ import pytest
 
 from unicayley import (
     BudgetExceededError,
+    CensusRecord,
     DEFAULT_BUDGET,
     Matrix,
     adjacent,
@@ -25,7 +26,7 @@ from unicayley import (
     srg_decide,
     zero_matrix,
 )
-from unicayley.graph import CayleyGraph, PairwiseSrgResult
+from unicayley.graph import CayleyGraph, PairwiseSrgResult, SrgWitness
 
 from helpers import random_distinct_pair, random_invertible, random_matrix
 
@@ -179,6 +180,17 @@ def test_srg_report_json_schema():
 
     doc1 = srg_decide(1, F3).to_json_dict()
     assert "note" in doc1
+
+
+@pytest.mark.parametrize("record, name", [
+    (CensusRecord(2, 3, 1, "formula", 30), "count"),
+    (SrgWitness((1, 2), (72, 56)), "counts"),
+    (srg_decide(2, F3), "is_srg"),
+    (PairwiseSrgResult(16, 6, 2, 2, True), "mu"),
+])
+def test_records_are_immutable(record, name):
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
 
 
 def test_srg_budget_refusal():

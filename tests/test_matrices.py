@@ -4,6 +4,7 @@ import ast
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from unicayley import (
     singular_shift_criterion,
     zero_matrix,
 )
-from unicayley.matrices import _det_flat, scan_space
+from unicayley.matrices import _det_flat, _rank_rows, scan_space
 from helpers import random_invertible, random_matrix
 
 F2 = make_field(2)
@@ -101,6 +102,19 @@ def test_rank_examples():
 def test_invertible_count_gf2_2x2():
     count = sum(m.is_invertible() for m in enumerate_matrices(2, F2))
     assert count == 6
+
+
+class _NoInverse:
+    def __getitem__(self, a):
+        raise AssertionError(f"inverse of {a} taken")
+
+
+def test_rank_rows_takes_no_inverse_for_the_last_pivot():
+    # above TABLE_LIMIT an inverse is a square-and-multiply; with no row
+    # left below the pivot it would eliminate nothing
+    field = SimpleNamespace(sub_table=F3.sub_table, mul_table=F3.mul_table,
+                            inv_table=_NoInverse())
+    assert _rank_rows([[0, 2, 1]], field) == 1
 
 
 @pytest.mark.parametrize("n,field", [(2, F2), (2, F3), (3, F2), (2, F4), (2, F5)])
