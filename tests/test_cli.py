@@ -394,8 +394,9 @@ def test_srg_oracle_budget_counts_all_scans(capsys):
 
 
 def test_graph_build_budget_counts_vertex_pairs(capsys):
-    # 16^4 vertices pass the 2^16 vertex cap; the pairwise test over every
-    # vertex pair does not fit the default budget
+    # 16^4 vertices pass the 2^16 vertex cap; the v(v - 1)/2 vertex pairs
+    # charged for the pairwise test, which bound its v * min(d, v - d) row
+    # additions, do not fit the default budget
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "graph-build", "--n", "2", "--field", "16")
     assert code == 3

@@ -298,8 +298,9 @@ def test_explicit_build_budget_refusal():
 
 
 def test_explicit_build_charges_vertex_pairs():
-    # the build charges the order * (order - 1) / 2 pairs the pairwise test
-    # visits, before its scan
+    # the build charges, before its scan, the order * (order - 1) / 2 pairs
+    # whose counts the pairwise test checks; that bounds its
+    # order * min(degree, order - degree) row additions
     with pytest.raises(BudgetExceededError) as err:
         explicit_graph_build(2, F3, budget=3239)
     assert err.value.required == 81 * 80 // 2 == 3240
@@ -334,9 +335,130 @@ def test_translated_rows_are_vertex_plus_units(n, p, k):
 
 
 def test_pairwise_agrees_with_rank_class_decision():
-    for n, field in [(2, F2), (2, F3), (1, F2), (1, make_field(5))]:
+    for n, field in [(2, F2), (2, F3), (2, make_field(2, 2)), (2, make_field(5)),
+                     (3, F2), (1, F2), (1, make_field(5))]:
         report = srg_decide(n, field)
         res = explicit_graph_build(n, field).pairwise_srg_test()
         assert res.is_srg == report.is_srg
         if report.is_srg:
             assert (res.order, res.degree, res.lam, res.mu) == report.parameters
+    assert explicit_graph_build(3, F2).pairwise_srg_test() == PairwiseSrgResult(
+        512, 168, None, None, False,
+        note="common-neighbor counts vary within a class",
+    )
+
+
+def _pairwise_by_pairs(adj):
+    # the reference: one AND and one popcount per unordered vertex pair
+    order = len(adj)
+    degrees = {bits.bit_count() for bits in adj}
+    if len(degrees) != 1:
+        return PairwiseSrgResult(order, None, None, None, False, note="not regular")
+    degree = degrees.pop()
+    every = (1 << order) - 1
+    if all(bits == every ^ (1 << i) for i, bits in enumerate(adj)):
+        return PairwiseSrgResult(order, degree, order - 2, None, False,
+                                 note="complete graph: no non-adjacent pairs")
+    lam_vals, mu_vals = set(), set()
+    for i in range(order):
+        for j in range(i + 1, order):
+            c = (adj[i] & adj[j]).bit_count()
+            (lam_vals if adj[i] >> j & 1 else mu_vals).add(c)
+    if len(lam_vals) != 1 or len(mu_vals) != 1:
+        return PairwiseSrgResult(order, degree, None, None, False,
+                                 note="common-neighbor counts vary within a class")
+    return PairwiseSrgResult(order, degree, lam_vals.pop(), mu_vals.pop(), True)
+
+
+def _rows(order, edge):
+    return [sum(1 << j for j in range(order) if edge(i, j)) for i in range(order)]
+
+
+def _circulant(order, steps):
+    # steps is closed under negation mod order; 0 in steps puts a loop everywhere
+    return _rows(order, lambda i, j: (i - j) % order in steps)
+
+
+def _random_symmetric(rng, order, density, loops):
+    upper = {(i, j) for i in range(order) for j in range(i, order)
+             if (i != j or loops) and rng.random() < density}
+    return _rows(order, lambda i, j: (min(i, j), max(i, j)) in upper)
+
+
+def _random_circulant(rng, order, density):
+    half = [s for s in range(order // 2 + 1) if s and rng.random() < density]
+    steps = set(half) | {-s % order for s in half}
+    if rng.random() < 0.3:
+        steps.add(0)
+    g = _circulant(order, steps)
+    # relabel, so no row is a shift of row 0
+    perm = list(range(order))
+    rng.shuffle(perm)
+    return _rows(order, lambda i, j: g[perm[i]] >> perm[j] & 1)
+
+
+def _paley(p, loops=False):
+    squares = {x * x % p for x in range(1, p)}
+    return _circulant(p, squares | {0} if loops else squares)
+
+
+def _cliques(size, count, loops=False):
+    return _rows(size * count, lambda i, j: i // size == j // size and (loops or i != j))
+
+
+_RNG = random.Random(20190)
+PAIRWISE_FAMILIES = {
+    "random": [_random_symmetric(_RNG, _RNG.randrange(1, 24), _RNG.random(), False)
+               for _ in range(60)],
+    "random-loops": [_random_symmetric(_RNG, _RNG.randrange(1, 24), _RNG.random(), True)
+                     for _ in range(60)],
+    "circulant-sparse": [_random_circulant(_RNG, _RNG.randrange(2, 48), 0.25)
+                         for _ in range(60)],
+    "circulant-dense": [_random_circulant(_RNG, _RNG.randrange(2, 48), 0.8)
+                        for _ in range(60)],
+    "paley": [_paley(p, loops) for p in (5, 13, 17) for loops in (False, True)],
+    "cliques": [_cliques(size, count, loops) for size in range(1, 6)
+                for count in range(1, 5) for loops in (False, True)],
+    "edgeless": [[0] * order for order in range(8)],
+}
+
+
+@pytest.mark.parametrize("family", PAIRWISE_FAMILIES)
+def test_pairwise_equals_pair_by_pair_reference(family):
+    # each graph, its complement J - A (loops toggled) and its loopless
+    # complement; exact equality of the whole result, note included
+    for adj in PAIRWISE_FAMILIES[family]:
+        every = (1 << len(adj)) - 1
+        for rows in (adj, [every ^ bits for bits in adj],
+                     [every ^ bits ^ (1 << i) for i, bits in enumerate(adj)]):
+            assert CayleyGraph(0, F2, rows).pairwise_srg_test() == (
+                _pairwise_by_pairs(rows))
+
+
+def test_pairwise_reference_graphs_reach_every_outcome():
+    # sparse and dense regular graphs, each with an odd and an even number of
+    # rows summed per row, and every verdict the reference can return
+    graphs = [adj for family in PAIRWISE_FAMILIES.values() for adj in family]
+    regular = [adj for adj in graphs
+               if adj and len({bits.bit_count() for bits in adj}) == 1]
+    added = {(2 * adj[0].bit_count() > len(adj),
+              min(adj[0].bit_count(), len(adj) - adj[0].bit_count()) % 2)
+             for adj in regular}
+    assert added == {(False, 0), (False, 1), (True, 0), (True, 1)}
+    outcomes = {_pairwise_by_pairs(adj)[4:] for adj in graphs}
+    assert outcomes == {
+        (True, None), (False, "not regular"),
+        (False, "complete graph: no non-adjacent pairs"),
+        (False, "common-neighbor counts vary within a class"),
+    }
+
+
+def test_pairwise_paley_and_cliques():
+    # P(13) is srg(13, 6, 2, 3); with a loop at every vertex each pair of
+    # neighbors gains both ends as common neighbors
+    assert CayleyGraph(0, F2, _paley(13)).pairwise_srg_test() == (
+        PairwiseSrgResult(13, 6, 2, 3, True))
+    assert CayleyGraph(0, F2, _paley(13, loops=True)).pairwise_srg_test() == (
+        PairwiseSrgResult(13, 7, 4, 3, True))
+    assert CayleyGraph(0, F2, _cliques(4, 3)).pairwise_srg_test() == (
+        PairwiseSrgResult(12, 3, 2, 0, True))
