@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (an SRG verdict of "no" is still success), 1 a
 verification check failed, 2 usage error, 3 budget exceeded (an enumeration
-too large, or closed-form counts too long to print).
+too large, or closed-form counts too long to print), 141 stdout was closed
+before all output was written (128 + SIGPIPE, as a shell reports for
+`yes | head`; nothing is printed).
 JSON output is deterministic: identical flags (including --seed) produce
 byte-identical documents.
 """
@@ -540,13 +542,23 @@ def main(argv=None) -> int:
         print("error: --output csv is only available for census", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()
+        return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the
+        # interpreter's flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -10,9 +10,12 @@ explicit_graph_build materializes the adjacency relation for tiny spaces: one
 scan finds the invertible set, the neighbors of the zero vertex, and every
 other vertex's neighbors are that set translated by field addition.
 pairwise_srg_test then re-derives the verdict from scratch: it checks the
-common-neighbor count of every vertex pair, a whole row of A^2 at a time
-summed by bit-sliced column counters, as an independent check that assumes
-neither rank theory nor vertex-transitivity.
+common-neighbor count of every vertex pair, a whole row of A^2 at a time,
+as an independent check that assumes neither rank theory nor
+vertex-transitivity.  _column_sums adds up each row's bitsets in bit-sliced
+column counters through a carry-save tree that parks one pending carry per
+bit plane (the Harley-Seal scheme of Mula, Kurz and Lemire, "Faster
+Population Counts Using AVX2 Instructions", 2018).
 """
 
 from __future__ import annotations
@@ -42,6 +45,49 @@ HARD_VERTEX_CAP = 1 << 16
 
 # bin() digits to the 0/1 bytes itertools.compress selects by
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _column_sums(rows, width: int) -> list[int]:
+    """Sum an iterator of bitsets column by column into width bit planes.
+
+    Bit j of planes[p] is bit p of the number of rows with bit j set, and
+    width must be at least the bit length of every such number.  A
+    carry-save tree: each pair of rows goes through a full adder with plane
+    0, an odd last row paired with 0.  Its carry, of weight 2, is parked in
+    plane 1's slot if that is empty (holds 0); otherwise the two carries go
+    through a full adder with plane 1 and the new carry moves on to plane 2,
+    and so on, so a pair costs one full adder with plane 0 and about one
+    more up the tree.  Once the rows run out, each parked carry is rippled
+    upwards through half adders.
+    """
+    planes = [0] * width
+    parked = [0] * width
+    for a in rows:
+        b = next(rows, 0)
+        low = planes[0]
+        half = low ^ a
+        planes[0] = half ^ b
+        carry = low & a | half & b
+        p = 1
+        while carry:
+            held = parked[p]
+            if not held:
+                parked[p] = carry
+                break
+            parked[p] = 0
+            plane = planes[p]
+            half = plane ^ held
+            planes[p] = half ^ carry
+            carry = plane & held | half & carry
+            p += 1
+    for start, carry in enumerate(parked):
+        p = start
+        while carry:
+            plane = planes[p]
+            planes[p] = plane ^ carry
+            carry &= plane
+            p += 1
+    return planes
 
 
 def adjacent(a: Matrix, b: Matrix) -> bool:
@@ -232,12 +278,12 @@ class CayleyGraph:
         known to be regular of degree d, A^2 = dJ - (J - A)A as well, so a
         dense graph sums the rows of i's non-neighbors (i included unless it
         has a loop) and subtracts from d; either way at most v / 2 rows per
-        row i on v vertices.  The rows go two at a time through a carry-save
-        full adder into bit planes, the carry rippling upwards: planes[p]
-        holds bit p of every column's sum.  A class of row i (its neighbors,
-        or its non-neighbors, both without i) has one count iff every plane
-        is all-ones or all-zeros on it.  Every ordered pair is checked.  The
-        adjacency relation must be symmetric, as that of a Cayley graph is.
+        row i on v vertices.  _column_sums adds them up in a carry-save
+        tree of bit planes: planes[p] holds bit p of every column's sum.  A
+        class of row i (its neighbors, or its non-neighbors, both without i)
+        has one count iff every plane is all-ones or all-zeros on it.  Every
+        ordered pair is checked.  The adjacency relation must be symmetric,
+        as that of a Cayley graph is.
         """
         degrees = {self.degree(i) for i in range(self.order)}
         if len(degrees) != 1:
@@ -263,20 +309,7 @@ class CayleyGraph:
         found = [None, None]  # lambda, mu
         for i, bits in enumerate(adj):
             flags = bin(bits ^ flip)[:1:-1].encode().translate(_BIT_FLAGS)
-            rows = compress(adj, flags)
-            planes = [0] * added.bit_length()
-            for a in rows:
-                b = next(rows, 0)
-                low = planes[0]
-                half = low ^ a
-                planes[0] = half ^ b
-                carry = low & a | half & b
-                p = 1
-                while carry:
-                    plane = planes[p]
-                    planes[p] = plane ^ carry
-                    carry &= plane
-                    p += 1
+            planes = _column_sums(compress(adj, flags), added.bit_length())
             others = every ^ (1 << i)
             near = bits & others
             for c, mask in enumerate((near, others ^ near)):

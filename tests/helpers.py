@@ -31,17 +31,26 @@ def random_distinct_pair(rng, n, field):
     return index_to_matrix(i, n, field), index_to_matrix(j, n, field)
 
 
-def run_python(*args):
-    """Run a fresh interpreter on args; return (exit code, stdout, stderr).
-
-    The package comes from this checkout's src and $UNICAYLEY_BUDGET is
-    unset, as in perfbench/run.py, so the default budget applies.
-    """
+def _env():
+    # the package from this checkout's src; $UNICAYLEY_BUDGET unset, as in
+    # perfbench/run.py, so the default budget applies
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("UNICAYLEY_BUDGET", None)
-    proc = subprocess.run([sys.executable, *args], env=env,
+    return env
+
+
+def run_python(*args):
+    """Run a fresh interpreter on args; return (exit code, stdout, stderr)."""
+    proc = subprocess.run([sys.executable, *args], env=_env(),
                           capture_output=True, text=True, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def popen_module(*argv):
+    """Start `python -m unicayley argv` with stdout and stderr on pipes."""
+    return subprocess.Popen([sys.executable, "-m", "unicayley", *argv],
+                            env=_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
 
 
 def run_module(*argv):

@@ -25,7 +25,7 @@ from unicayley import (
     zero_matrix,
 )
 from unicayley.cli import CHECK_NAMES, main
-from helpers import run_module, run_python
+from helpers import popen_module, run_module, run_python
 
 # 1 followed by 200 zeros: a side whose q^(n^2) no computer can form
 HUGE_N = "1" + "0" * 200
@@ -721,3 +721,22 @@ def test_module_entry_point_matches_main(capsys, monkeypatch, argv, expected,
     assert "Traceback" not in err
     monkeypatch.delenv("UNICAYLEY_BUDGET", raising=False)
     assert run_cli(capsys, *argv) == (code, out, err)
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # a reader that stops early, as `| head -c 100` does: the output is far
+    # larger than a pipe buffer, so the command is still writing when the
+    # pipe closes, and it exits with a shell's SIGPIPE status, printing nothing
+    with popen_module("srg", "--n", "119", "--field", "2") as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (141, b"")
+
+
+def test_no_stdout_at_all_is_still_success(monkeypatch):
+    # started with stdout closed (`>&-`), the interpreter sets sys.stdout to
+    # None and print writes nowhere
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["srg", "--n", "2", "--field", "2"]) == 0

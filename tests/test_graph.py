@@ -26,7 +26,7 @@ from unicayley import (
     srg_decide,
     zero_matrix,
 )
-from unicayley.graph import CayleyGraph, PairwiseSrgResult, SrgWitness
+from unicayley.graph import CayleyGraph, PairwiseSrgResult, SrgWitness, _column_sums
 
 from helpers import random_distinct_pair, random_invertible, random_matrix
 
@@ -335,17 +335,39 @@ def test_translated_rows_are_vertex_plus_units(n, p, k):
 
 
 def test_pairwise_agrees_with_rank_class_decision():
+    results = {}
     for n, field in [(2, F2), (2, F3), (2, make_field(2, 2)), (2, make_field(5)),
-                     (3, F2), (1, F2), (1, make_field(5))]:
+                     (2, make_field(7)), (3, F2), (1, F2), (1, make_field(5))]:
         report = srg_decide(n, field)
-        res = explicit_graph_build(n, field).pairwise_srg_test()
+        res = results[n, field.q] = explicit_graph_build(n, field).pairwise_srg_test()
         assert res.is_srg == report.is_srg
         if report.is_srg:
             assert (res.order, res.degree, res.lam, res.mu) == report.parameters
-    assert explicit_graph_build(3, F2).pairwise_srg_test() == PairwiseSrgResult(
+    # (2,7) is graph-build's largest benchmark instance, srg_parameters_n2(7)
+    assert results[2, 7] == PairwiseSrgResult(2401, 2016, 1687, 1722, True)
+    assert results[3, 2] == PairwiseSrgResult(
         512, 168, None, None, False,
         note="common-neighbor counts vary within a class",
     )
+
+
+def test_column_sums_match_bit_by_bit_counts():
+    # 0-130 rows of 1-70 bits, with some columns set in every row: a column
+    # set in all c >= 2 rows leaves a carry parked at each plane p >= 1
+    # where bit p of c is set, the top one included, after odd and even c
+    rng = random.Random(1404)
+    for count in range(131):
+        width = rng.randrange(1, 71)
+        full = rng.getrandbits(width)
+        density = rng.random()
+        rows = [full | sum(1 << j for j in range(width) if rng.random() < density)
+                for _ in range(count)]
+        planes = _column_sums(iter(rows), count.bit_length())
+        assert len(planes) == count.bit_length()
+        assert all(plane >> width == 0 for plane in planes)
+        for j in range(width):
+            column = sum(row >> j & 1 for row in rows)
+            assert sum((plane >> j & 1) << p for p, plane in enumerate(planes)) == column
 
 
 def _pairwise_by_pairs(adj):
