@@ -190,9 +190,7 @@ def _census_records(args, n, field, budget):
     return records, agrees, pair_info
 
 
-def _cmd_census(args) -> int:
-    budget = _resolve_budget(args)
-    field = parse_field(args.field, max_order=budget)
+def _cmd_census(args, field, budget) -> int:
     n = args.n
     records, agrees, pair_info = _census_records(args, n, field, budget)
 
@@ -209,14 +207,13 @@ def _cmd_census(args) -> int:
             doc["pair"] = pair_info
         _print_json(doc)
     elif args.output == "csv":
-        import csv  # only this branch uses it; a top-level import costs every call
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["n", "q", "rank", "method", "count", "agrees"])
+        # every field is an int or a fixed word, so none needs quoting
+        print("n,q,rank,method,count,agrees")
         for rec in records:
             flag = ""
             if rec.rank in agrees:
                 flag = "true" if agrees[rec.rank] else "false"
-            writer.writerow([rec.n, rec.q, rec.rank, rec.method, rec.count, flag])
+            print(f"{rec.n},{rec.q},{rec.rank},{rec.method},{rec.count},{flag}")
     else:
         if pair_info is not None:
             print(
@@ -341,9 +338,7 @@ _CHECKS = {
 CHECK_NAMES = (*_CHECKS, "all")
 
 
-def _cmd_verify(args) -> int:
-    budget = _resolve_budget(args)
-    field = parse_field(args.field, max_order=budget)
+def _cmd_verify(args, field, budget) -> int:
     n = args.n
     if args.check == "all":
         names = [name for name in _CHECKS if name != "rank2-count" or n >= 2]
@@ -380,9 +375,7 @@ def _cmd_verify(args) -> int:
 # --- srg and graph-build --------------------------------------------------------
 
 
-def _cmd_srg(args) -> int:
-    budget = _resolve_budget(args)
-    field = parse_field(args.field, max_order=budget)
+def _cmd_srg(args, field, budget) -> int:
     if args.method == "formula":
         _check_printable(args.n, field.q, "closed-form srg")
     report = srg_decide(args.n, field, method=args.method, budget=budget)
@@ -405,9 +398,7 @@ def _cmd_srg(args) -> int:
     return 0
 
 
-def _cmd_graph_build(args) -> int:
-    budget = _resolve_budget(args)
-    field = parse_field(args.field, max_order=budget)
+def _cmd_graph_build(args, field, budget) -> int:
     g = explicit_graph_build(args.n, field, budget=budget)
     result = g.pairwise_srg_test()
     if args.output == "json":
@@ -436,9 +427,7 @@ def _cmd_graph_build(args) -> int:
     return 0
 
 
-def _cmd_field_info(args) -> int:
-    budget = _resolve_budget(args)
-    field = parse_field(args.field, max_order=budget)
+def _cmd_field_info(args, field, budget) -> int:
     if args.output == "json":
         _print_json(
             {
@@ -472,7 +461,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(sub, *, with_n=True, with_seed=False):
+def _add_common(sub, *, with_n=True, with_seed=False, outputs=("json", "text")):
     sub.add_argument("--field", required=True,
                      help="field designation: a prime power like 4, or p^k like 2^2")
     if with_n:
@@ -484,7 +473,7 @@ def _add_common(sub, *, with_n=True, with_seed=False):
     if with_seed:
         sub.add_argument("--seed", type=int, default=0,
                          help="seed for sampled checks")
-    sub.add_argument("--output", choices=("json", "csv", "text"), default="text")
+    sub.add_argument("--output", choices=outputs, default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_field_info)
 
     p = subs.add_parser("census", help="closed-form and oracle counts by rank")
-    _add_common(p)
+    _add_common(p, outputs=("json", "csv", "text"))
     p.add_argument("--rank", default=None,
                    help="shift rank in [0, n], or 'all' (the default)")
     p.add_argument("--method", choices=("formula", "oracle", "both"), default="both")
@@ -538,11 +527,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    if args.output == "csv" and args.command != "census":
-        print("error: --output csv is only available for census", file=sys.stderr)
-        return 2
     try:
-        code = args.func(args)
+        budget = _resolve_budget(args)
+        field = parse_field(args.field, max_order=budget)
+        code = args.func(args, field, budget)
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()
         return code

@@ -2,7 +2,9 @@
 
 Covers ring arithmetic, rank, determinant, the paper's singular-shift lemma,
 and canonical enumeration of the full matrix space by integer index (entry
-(0,0) is the least significant base-q digit).
+(0,0) is the least significant base-q digit).  One row reduction,
+_eliminate, gives every rank and every determinant above the closed forms
+for n <= 3.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ class Matrix:
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.n + j]
 
-    def column(self, j: int) -> tuple:
-        n = self.n
-        return tuple(self.entries[i * n + j] for i in range(n))
-
     # Arithmetic indexes the field's lookup tables directly: every entry was
     # validated when its matrix was built.
 
@@ -100,7 +98,7 @@ class Matrix:
     def rank(self) -> int:
         n = self.n
         rows = [list(self.entries[i * n:(i + 1) * n]) for i in range(n)]
-        return _rank_rows(rows, self.field)
+        return len(_eliminate(rows, self.field)[0])
 
     def is_invertible(self) -> bool:
         return _det_flat(self.entries, self.n, self.field) != 0
@@ -181,7 +179,11 @@ def parse_matrix(text: str, field: FieldSpec) -> Matrix:
 
 
 def _det_flat(e, n: int, field: FieldSpec) -> int:
-    """Determinant of a flat row-major entry sequence."""
+    """Determinant of a flat row-major entry sequence.
+
+    Closed forms for n <= 3; above that, (-1)^swaps times the product of
+    _eliminate's pivots, or 0 when a column has none.
+    """
     if n == 1:
         return e[0]
     mt = field.mul_table
@@ -195,59 +197,51 @@ def _det_flat(e, n: int, field: FieldSpec) -> int:
         m3 = st[mt[d][h]][mt[x][g]]
         return field.add_table[st[mt[a][m1]][mt[b][m2]]][mt[c][m3]]
     rows = [list(e[r * n:(r + 1) * n]) for r in range(n)]
-    inv, neg = field.inv_table, st[0]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = neg[det]
-        pv = rows[col][col]
+    pivots, swaps = _eliminate(rows, field)
+    if len(pivots) < n:
+        return 0
+    det = st[0][1] if swaps % 2 else 1
+    for pv in pivots:
         det = mt[det][pv]
-        ipv = inv[pv]
-        prow = rows[col]
-        for r in range(col + 1, n):
-            lead = rows[r][col]
-            if lead != 0:
-                mc = mt[mt[lead][ipv]]
-                rr = rows[r]
-                for j in range(col, n):
-                    rr[j] = st[rr[j]][mc[prow[j]]]
     return det
 
 
-def _rank_rows(rows: list[list[int]], field: FieldSpec) -> int:
-    """Row rank of a rectangular list-of-rows; mutates its argument."""
-    if not rows:
-        return 0
+def _eliminate(rows: list[list[int]], field: FieldSpec) -> tuple[list[int], int]:
+    """Row-reduce a rectangular list-of-rows in place.
+
+    Returns (pivots, swaps): the pivot entries in column order, so the rank
+    is len(pivots), and the number of row exchanges made.  This is the one
+    elimination loop of the package, behind both rank and determinant.
+    """
     m = len(rows)
-    width = len(rows[0])
+    width = len(rows[0]) if rows else 0  # no rows: the empty minor of n = 1
     sub, mul, inv = field.sub_table, field.mul_table, field.inv_table
-    rank = 0
+    pivots: list[int] = []
+    swaps = 0
     for col in range(width):
+        rank = len(pivots)
         # Pivot: first nonzero entry scanning top to bottom in this column.
         piv = next((r for r in range(rank, m) if rows[r][col] != 0), None)
         if piv is None:
             continue
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
+            swaps += 1
         prow = rows[rank]
-        rank += 1
-        if rank == m:
+        pivots.append(prow[col])
+        if rank + 1 == m:
             # no row left to eliminate: skip the pivot's inverse, a
             # square-and-multiply on fields too large for stored tables
             break
         ipv = inv[prow[col]]
-        for r in range(rank, m):
+        for r in range(rank + 1, m):
             lead = rows[r][col]
             if lead != 0:
                 mc = mul[mul[lead][ipv]]
                 rr = rows[r]
                 for j in range(col, width):
                     rr[j] = sub[rr[j]][mc[prow[j]]]
-    return rank
+    return pivots, swaps
 
 
 def singular_shift_criterion(a: Matrix) -> bool:
@@ -255,8 +249,9 @@ def singular_shift_criterion(a: Matrix) -> bool:
 
     With columns a_1..a_n of A and v_1 = (1, 0, ..., 0)^T, this holds iff
     det(v_1, a_2, ..., a_n) != 0 and a_1 + v_1 lies in span(a_2, ..., a_n).
-    Span membership is decided by comparing ranks with and without the
-    augmenting column.
+    A nonzero determinant makes a_2..a_n independent, so their span has rank
+    n - 1 without a second elimination: a_1 + v_1 lies in it iff the
+    augmented matrix [a_2 ... a_n | a_1 + v_1] still has rank n - 1.
     """
     n = a.n
     f = a.field
@@ -265,12 +260,10 @@ def singular_shift_criterion(a: Matrix) -> bool:
         flat[i * n] = 1 if i == 0 else 0
     if _det_flat(flat, n, f) == 0:
         return False
-    target = list(a.column(0))
-    target[0] = f.add_table[target[0]][1]
-    base = [[a.entry(i, j) for j in range(1, n)] for i in range(n)]
-    base_rank = _rank_rows([row[:] for row in base], f)
-    augmented = [row + [target[i]] for i, row in enumerate(base)]
-    return base_rank == _rank_rows(augmented, f)
+    e = a.entries
+    augmented = [[*e[i * n + 1:(i + 1) * n], e[i * n]] for i in range(n)]
+    augmented[0][-1] = f.add_table[e[0]][1]
+    return len(_eliminate(augmented, f)[0]) == n - 1
 
 
 # --- canonical enumeration ----------------------------------------------------

@@ -740,3 +740,10 @@ def test_no_stdout_at_all_is_still_success(monkeypatch):
     # None and print writes nowhere
     monkeypatch.setattr(sys, "stdout", None)
     assert main(["srg", "--n", "2", "--field", "2"]) == 0
+
+
+def test_no_stdout_at_all_is_still_success_for_csv(monkeypatch):
+    # the csv rows are printed like every other output, so they too go
+    # nowhere when stdout is closed
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["census", "--n", "2", "--field", "2", "--output", "csv"]) == 0

@@ -24,7 +24,7 @@ from unicayley import (
     singular_shift_criterion,
     zero_matrix,
 )
-from unicayley.matrices import _det_flat, _rank_rows, scan_space
+from unicayley.matrices import _det_flat, _eliminate, scan_space
 from helpers import random_invertible, random_matrix
 
 F2 = make_field(2)
@@ -109,12 +109,13 @@ class _NoInverse:
         raise AssertionError(f"inverse of {a} taken")
 
 
-def test_rank_rows_takes_no_inverse_for_the_last_pivot():
+def test_eliminate_takes_no_inverse_for_the_last_pivot():
     # above TABLE_LIMIT an inverse is a square-and-multiply; with no row
     # left below the pivot it would eliminate nothing
     field = SimpleNamespace(sub_table=F3.sub_table, mul_table=F3.mul_table,
                             inv_table=_NoInverse())
-    assert _rank_rows([[0, 2, 1]], field) == 1
+    pivots, _ = _eliminate([[0, 2, 1]], field)
+    assert len(pivots) == 1
 
 
 @pytest.mark.parametrize("n,field", [(2, F2), (2, F3), (3, F2), (2, F4), (2, F5)])
@@ -256,6 +257,28 @@ def test_only_matrices_enumerates_the_space():
         and "_iter_flat" in _names(ast.parse(module.read_text()))
     ]
     assert len(list(package.glob("*.py"))) >= 7
+    assert offenders == []
+
+
+def test_only_eliminate_names_the_inverse_table():
+    # one row reduction: outside fields.py, only matrices._eliminate divides,
+    # so no second elimination loop can grow up beside it
+    package = Path(unicayley.__file__).parent
+    offenders = []
+    kernel = None
+    for module in sorted(package.glob("*.py")):
+        if module.name == "fields.py":
+            continue
+        body = []
+        for node in ast.parse(module.read_text()).body:
+            if module.name == "matrices.py" and getattr(node, "name", None) == "_eliminate":
+                kernel = node
+            else:
+                body.append(node)
+        if "inv_table" in _names(ast.Module(body=body, type_ignores=[])):
+            offenders.append(module.name)
+    assert len(list(package.glob("*.py"))) >= 7
+    assert "inv_table" in _names(kernel)
     assert offenders == []
 
 
