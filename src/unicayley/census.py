@@ -1,4 +1,4 @@
-"""Closed-form matrix counts over GF(q) and brute-force oracles for each.
+"""Closed-form matrix counts over GF(q) and the strong-regularity decision.
 
 Every count is exact (arbitrary-precision integers throughout).  The central
 family is the "shifted intersection" count: the number of invertible n x n
@@ -6,19 +6,19 @@ matrices M such that M - diag(I_r, 0) is also invertible.  A Gaussian-binomial
 recursion gives it in closed form for every rank 0 <= r <= n, from the base
 cases r = 0 (the general linear group order) and r = n (linear
 derangements).  The paper's own forms for r = 1 and r = 2 are kept as
-independent checks of the recursion, and the oracle covers every rank by full
-enumeration.
+independent checks of the recursion.  srg_decide compares these counts rank
+by rank.  The enumeration oracles that check every closed form live in
+matrices, beside the scan; srg_decide imports them only for
+method="oracle", so a closed-form decision never loads the enumeration side.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import compress
+from itertools import combinations
 from typing import NamedTuple
 
-from .errors import check_budget
 from .fields import FieldSpec, factor_prime_power
-from .matrices import _block_dets, _det_flat, canonical_rank_matrix, scan_space
 
 
 def _check_nq(n: int, q: int) -> None:
@@ -188,114 +188,6 @@ def srg_parameters_n2(q: int) -> tuple[int, int, int, int]:
     return v, k, lam, mu
 
 
-# --- enumeration oracles --------------------------------------------------------
-
-
-def _charge_oracle_pass(shifts: int, n: int, field: FieldSpec,
-                        budget: int | None) -> None:
-    """Charge one _shifted_unit_counts pass over shifts matrices of M_n(GF(q)).
-
-    The pass visits shifts * q^(n^2) matrix-shift pairs.  Call it before
-    building the shifts, so that a refused pass allocates nothing.
-    """
-    noun = "shift" if shifts == 1 else "shifts"
-    check_budget([(shifts, field.q, n * n)], budget,
-                 f"oracle pass over {shifts} {noun} in M_{n}({field!r})")
-
-
-def _shifted_unit_counts(shifts) -> list[int]:
-    """Count invertible N with N - d invertible for each shift d, in one pass.
-
-    The shifts are matrices of one space M_n(GF(q)); the caller has charged
-    the pass with _charge_oracle_pass.  In a block of the scan, with
-    first row x and tail T, det(N) = x . C and det(N - d) = x . C' - d_0 . C',
-    where C' is the cofactor vector of T - d_tail and d_0 is d's first row.
-    So the block's table of x . C' (the scan's own when d_tail is zero)
-    decides N - d for every x, against its entry at x = d_0.  Shifts that
-    share a tail share that table.
-    """
-    n, field = shifts[0].n, shifts[0].field
-    sub = field.sub_table
-    block_dets = _block_dets(n, field)
-    by_tail: dict[tuple, list] = {}
-    for i, d in enumerate(shifts):
-        by_tail.setdefault(d.entries[n:], []).append((i, d.index() % field.q ** n))
-    counts = [0] * len(shifts)
-
-    def visit(tail, dets):
-        for move, members in by_tail.items():
-            if any(move):
-                shifted = block_dets([sub[a][b] for a, b in zip(tail, move)])
-            else:
-                shifted = dets
-            kept = list(compress(shifted, dets))  # where N is invertible
-            for i, x0 in members:
-                counts[i] += len(kept) - kept.count(shifted[x0])
-
-    scan_space(n, field, visit)
-    return counts
-
-
-def intersection_count_oracle(
-    r: int,
-    n: int,
-    field: FieldSpec,
-    *,
-    budget: int | None = None,
-) -> int:
-    """Count invertible M with M - diag(I_r, 0) invertible, by full enumeration.
-
-    For r = 0 this degenerates to the invertible-matrix count; for r = n it is
-    the linear-derangement count.
-    """
-    _charge_oracle_pass(1, n, field, budget)
-    return _shifted_unit_counts([canonical_rank_matrix(n, r, field)])[0]
-
-
-def rank2_case_decomposition_oracle(
-    n: int,
-    field: FieldSpec,
-    *,
-    budget: int | None = None,
-) -> tuple[int, int, int]:
-    """Case totals (rank 2, rank 0, rank 1) behind the rank-2 count, n >= 3.
-
-    Counts invertible B whose leading 2 x 2 block B1 keeps B1 + I_2
-    invertible, classified by the rank of B1.  This set is equinumerous with
-    the rank-2 shifted intersection (invert each member, then translate), and
-    the case split matches rank2_case_formulas; classifying the intersection
-    set by its own leading block does not, because inversion scrambles
-    leading-block ranks.
-    """
-    if n < 3:
-        raise ValueError(f"case split needs n >= 3, got {n}")
-    check_budget([(1, field.q, n * n)], budget,
-                 f"rank-2 case decomposition over M_{n}({field!r})")
-    q = field.q
-    inc = [field.add(e, 1) for e in range(q)]
-    cases = [0, 0, 0]
-
-    def visit(tail, dets):
-        # the leading block (b00, b01; b10, b11) depends on the first two
-        # digits of the first row: label each, 3 when B1 + I_2 is singular
-        b10, b11 = tail[0], tail[1]
-        labels = []
-        for b01 in range(q):
-            for b00 in range(q):
-                if _det_flat((inc[b00], b01, b10, inc[b11]), 2, field) == 0:
-                    labels.append(3)
-                elif _det_flat((b00, b01, b10, b11), 2, field) != 0:
-                    labels.append(0)
-                else:
-                    labels.append(1 if b00 == b01 == b10 == b11 == 0 else 2)
-        kept = list(compress(labels * q ** (n - 2), dets))  # where B is invertible
-        for case in range(3):
-            cases[case] += kept.count(case)
-
-    scan_space(n, field, visit)
-    return tuple(cases)
-
-
 class CensusRecord(NamedTuple):
     """One exact count keyed by (n, q, rank) and the method that produced it."""
 
@@ -315,3 +207,130 @@ class CensusRecord(NamedTuple):
             "method": self.method,
             "count": str(self.count),
         }
+
+
+class SrgWitness(NamedTuple):
+    """Two rank classes whose common-neighbor counts disagree."""
+
+    rank_pair: tuple[int, int]
+    counts: tuple[int, int]
+
+
+class SrgReport(NamedTuple):
+    """Verdict of the strong-regularity decision for one (n, q)."""
+
+    n: int
+    q: int
+    order: int
+    degree: int
+    lam: int
+    mu_by_rank: dict[int, int]
+    is_srg: bool
+    parameters: tuple[int, int, int, int] | None
+    witness: SrgWitness | None
+    note: str | None = None
+
+    def to_json_dict(self) -> dict:
+        doc = {
+            "n": self.n,
+            "q": self.q,
+            "order": self.order,
+            "degree": self.degree,
+            "lambda": self.lam,
+            "mu_by_rank": {str(r): self.mu_by_rank[r] for r in sorted(self.mu_by_rank)},
+            "is_srg": self.is_srg,
+            "parameters": list(self.parameters) if self.parameters else None,
+            "witness": (
+                {
+                    "rank_pair": list(self.witness.rank_pair),
+                    "counts": list(self.witness.counts),
+                }
+                if self.witness
+                else None
+            ),
+        }
+        if self.note is not None:
+            doc["note"] = self.note
+        return doc
+
+
+SRG_METHODS = ("formula", "oracle")
+
+
+def srg_decide(
+    n: int,
+    field: FieldSpec,
+    *,
+    method: str = "formula",
+    budget: int | None = None,
+) -> SrgReport:
+    """Decide strong regularity of the unitary Cayley graph of M_n(GF(q)).
+
+    counts[r] is the common-neighbor count of the zero vertex and
+    diag(I_r, 0): the degree for r = 0, lambda for r = n and mu for rank
+    class r = 1..n-1.  method="formula" takes them from
+    intersection_count_formula, which has a closed form for every rank, and
+    does no enumeration.  method="oracle" takes them from one full-space pass
+    over the n + 1 shifts, charged (n + 1) * q^(n^2) against the budget
+    before it starts; its degree is checked against gl_order.  For n = 2 the
+    parameters are checked against the paper's closed-form tuple on both
+    paths; a mismatch raises RuntimeError.  Complete graphs (n = 1) are
+    reported as not strongly regular by convention.
+    """
+    if method not in SRG_METHODS:
+        raise ValueError(f"method must be one of {SRG_METHODS}, got {method!r}")
+    q = field.q
+    if method == "oracle":
+        from .matrices import (
+            _charge_oracle_pass,
+            _shifted_unit_counts,
+            canonical_rank_matrix,
+        )
+
+        _charge_oracle_pass(n + 1, n, field, budget)
+    order = q ** (n * n)
+    degree = gl_order(n, q)
+    if method == "formula":
+        counts = [degree] + [
+            intersection_count_formula(r, n, q) for r in range(1, n + 1)
+        ]
+    else:
+        counts = _shifted_unit_counts(
+            [canonical_rank_matrix(n, r, field) for r in range(n + 1)]
+        )
+        if counts[0] != degree:
+            raise RuntimeError(
+                f"degree scan {counts[0]} disagrees with closed form {degree}"
+            )
+    lam = counts[n]
+    if n == 1:
+        return SrgReport(
+            n=n, q=q, order=order, degree=degree, lam=lam,
+            mu_by_rank={}, is_srg=False, parameters=None, witness=None,
+            note="complete graph: every pair is adjacent, so the "
+                 "non-adjacent condition is vacuous and the graph is "
+                 "excluded by convention",
+        )
+    mu_by_rank = {r: counts[r] for r in range(1, n)}
+    is_srg = len(set(mu_by_rank.values())) == 1
+    parameters = None
+    witness = None
+    if is_srg:
+        parameters = (order, degree, lam, mu_by_rank[1])
+        if n == 2 and parameters != srg_parameters_n2(q):
+            raise RuntimeError(
+                f"measured parameters {parameters} disagree with the "
+                f"closed-form tuple {srg_parameters_n2(q)}"
+            )
+    else:
+        r1, r2 = next(
+            (a, b)
+            for a, b in combinations(mu_by_rank, 2)
+            if mu_by_rank[a] != mu_by_rank[b]
+        )
+        witness = SrgWitness((r1, r2), (mu_by_rank[r1], mu_by_rank[r2]))
+    return SrgReport(
+        n=n, q=q, order=order, degree=degree, lam=lam,
+        mu_by_rank=mu_by_rank, is_srg=is_srg,
+        parameters=parameters, witness=witness,
+    )

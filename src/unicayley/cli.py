@@ -7,6 +7,11 @@ before all output was written (128 + SIGPIPE, as a shell reports for
 `yes | head`; nothing is printed).
 JSON output is deterministic: identical flags (including --seed) produce
 byte-identical documents.
+
+Each handler imports the modules its command runs when it runs, so a call
+loads no more of the package than its command uses: field-info only fields,
+a closed-form srg or census also census, and only the commands that scan
+the enumeration side (matrices, graph, verify).
 """
 
 from __future__ import annotations
@@ -15,22 +20,8 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
-from itertools import product
 
-from .census import (
-    CensusRecord,
-    _charge_oracle_pass,
-    _shifted_unit_counts,
-    derangements_formula,
-    intersection_count_formula,
-    intersection_count_oracle,
-    rank1_intersection_formula,
-    rank2_case_decomposition_oracle,
-    rank2_case_formulas,
-    rank2_intersection_formula,
-)
 from .errors import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -39,25 +30,8 @@ from .errors import (
     check_budget,
 )
 from .fields import FieldSpec, factor_prime_power, make_field, poly_text
-from .graph import (
-    SRG_METHODS,
-    common_neighbors_by_rank,
-    explicit_graph_build,
-    srg_decide,
-)
-from .matrices import (
-    Matrix,
-    canonical_rank_matrix,
-    index_to_matrix,
-    matrix_space_size,
-    parse_matrix,
-    scan_space,
-    singular_shift_criterion,
-)
 
 BUDGET_ENV_VAR = "UNICAYLEY_BUDGET"
-
-RANK_REDUCTION_SAMPLES = 50
 
 
 class UsageError(Exception):
@@ -139,6 +113,8 @@ def _print_json(doc) -> None:
 
 def _census_records(args, n, field, budget):
     """Build (records, agrees_by_rank, pair_info) for the census command."""
+    from .census import CensusRecord, intersection_count_formula
+
     q = field.q
     method = args.method
     if method != "oracle":
@@ -149,6 +125,8 @@ def _census_records(args, n, field, budget):
             raise UsageError("pair queries need both --matrix-a and --matrix-b")
         if args.rank is not None:
             raise UsageError("--rank conflicts with a pair query; the rank is derived")
+        from .matrices import parse_matrix
+
         try:
             a = parse_matrix(args.matrix_a, field)
             b = parse_matrix(args.matrix_b, field)
@@ -170,6 +148,12 @@ def _census_records(args, n, field, budget):
             raise UsageError(f"--rank must lie in [0, {n}], got {r}")
     ranks = range(n + 1) if r is None else [r]
     if method != "formula":
+        from .matrices import (
+            _charge_oracle_pass,
+            _shifted_unit_counts,
+            canonical_rank_matrix,
+        )
+
         _charge_oracle_pass(n + 1 if r is None else 1, n, field, budget)
         oracle = _shifted_unit_counts(
             [b - a] if pair_info else [canonical_rank_matrix(n, r, field) for r in ranks])
@@ -229,128 +213,30 @@ def _cmd_census(args, field, budget) -> int:
 
 # --- verify -------------------------------------------------------------------
 
-
-def _check_rank1_singularity(n, field, seed, budget):
-    add = field.add_table
-    rows = [t[::-1] for t in product(range(field.q), repeat=n)]  # index order
-    witnesses = []
-
-    def visit(tail, dets):
-        # det is linear in row 0, so det(A + E_11) = det(A) + det of the
-        # first row (1, 0, ..., 0), entry 1 of the block
-        c00 = dets[1]
-        for row, det in zip(rows, dets):
-            lhs = det != 0 and add[det][c00] == 0
-            flat = row + tail  # entries from the scan: no need to check them
-            if lhs != singular_shift_criterion(Matrix._wrap(n, flat, field)):
-                witnesses.append(flat)
-
-    scan_space(n, field, visit)
-    total = matrix_space_size(n, field)
-    if witnesses:
-        first = Matrix._wrap(n, witnesses[0], field).to_literal()
-        return False, (
-            f"{len(witnesses)} of {total} matrices split the equivalence; "
-            f"first witness {first}"
-        )
-    return True, f"equivalence holds for all {total} matrices"
-
-
-def _recursion_note(r, n, q, paper):
-    """Compare the recursion with the paper's rank-r form: (agrees, note)."""
-    rec = intersection_count_formula(r, n, q)
-    if rec == paper:
-        return True, "; recursion agrees"
-    return False, f"; recursion gives {rec}"
-
-
-def _check_rank1_count(n, field, seed, budget):
-    lhs = rank1_intersection_formula(n, field.q)
-    rhs = intersection_count_oracle(1, n, field, budget=budget)
-    rec_ok, note = _recursion_note(1, n, field.q, lhs)
-    return lhs == rhs and rec_ok, f"formula {lhs} vs oracle {rhs}{note}"
-
-
-def _check_rank2_count(n, field, seed, budget):
-    if n < 2:
-        raise UsageError("the rank-2 count needs n >= 2")
-    lhs = rank2_intersection_formula(n, field.q)
-    rhs = intersection_count_oracle(2, n, field, budget=budget)
-    rec_ok, note = _recursion_note(2, n, field.q, lhs)
-    if lhs != rhs or not rec_ok:
-        return False, f"formula {lhs} vs oracle {rhs}{note}"
-    if n < 3:
-        return True, f"formula {lhs} == oracle {rhs}{note}"
-    cases = rank2_case_decomposition_oracle(n, field, budget=budget)
-    expected = rank2_case_formulas(n, field.q)
-    if cases != expected or sum(cases) != rhs:
-        return False, (
-            f"case split oracle {cases} vs formulas {expected}, total {rhs}"
-        )
-    return True, f"formula {lhs} == oracle {rhs}{note}; case split {cases} matches"
-
-
-def _check_recurrence(n, field, seed, budget):
-    for i in range(1, n + 1):
-        lhs = derangements_formula(i, field.q)
-        rhs = intersection_count_oracle(i, i, field, budget=budget)
-        if lhs != rhs:
-            return False, f"step {i}: recurrence {lhs} vs oracle {rhs}"
-    return True, f"recurrence steps 1..{n} hold"
-
-
-def _check_rank_reduction(n, field, seed, budget):
-    size = matrix_space_size(n, field)
-    rng = random.Random(seed)
-    pairs = []
-    for _ in range(RANK_REDUCTION_SAMPLES):
-        i = rng.randrange(size)
-        j = rng.randrange(size - 1)
-        if j >= i:
-            j += 1
-        pairs.append((index_to_matrix(i, n, field), index_to_matrix(j, n, field)))
-    # common_neighbors_bruteforce for every pair, in one pass over the shifts
-    brutes = _shifted_unit_counts([b - a for a, b in pairs])
-    for trial, ((a, b), brute) in enumerate(zip(pairs, brutes)):
-        reduced = common_neighbors_by_rank(a, b)
-        if brute != reduced:
-            return False, (
-                f"trial {trial}: pair ({a.to_literal()}, {b.to_literal()}) "
-                f"brute {brute} vs rank-class {reduced}"
-            )
-    return True, f"{RANK_REDUCTION_SAMPLES} sampled pairs agree"
-
-
-# Each check with the number of matrices (or matrix-shift pairs) its scans
-# visit at (n, q), as check_budget terms, largest first; verify charges their
-# sum before the first check runs.
-_CHECKS = {
-    "rank1-singularity": (_check_rank1_singularity, lambda n, q: [(1, q, n * n)]),
-    "rank1-count": (_check_rank1_count, lambda n, q: [(1, q, n * n)]),
-    "rank2-count": (_check_rank2_count,
-                    lambda n, q: [(2 if n >= 3 else 1, q, n * n)]),
-    "recurrence": (_check_recurrence,
-                   lambda n, q: ((1, q, i * i) for i in range(n, 0, -1))),
-    "rank-reduction": (_check_rank_reduction,
-                       lambda n, q: [(RANK_REDUCTION_SAMPLES, q, n * n)]),
-}
-
-CHECK_NAMES = (*_CHECKS, "all")
+# The names of verify.CHECKS, in their order, and "all".  The parser is built
+# on every call, and naming them here spares it loading the suite;
+# test_parser_choices_are_the_library_names pins the two together.
+CHECK_NAMES = ("rank1-singularity", "rank1-count", "rank2-count", "recurrence",
+               "rank-reduction", "all")
 
 
 def _cmd_verify(args, field, budget) -> int:
+    from .verify import CHECKS
+
     n = args.n
     if args.check == "all":
-        names = [name for name in _CHECKS if name != "rank2-count" or n >= 2]
+        names = [name for name in CHECKS if name != "rank2-count" or n >= 2]
     else:
         names = [args.check]
     check_budget(
-        (term for name in names for term in _CHECKS[name][1](n, field.q)), budget,
+        (term for name in names for term in CHECKS[name][1](n, field.q)), budget,
         f"verification scans over M_{n}({field!r})",
     )
+    if n < 2 and "rank2-count" in names:
+        raise UsageError("the rank-2 count needs n >= 2")
     results = []
     for name in names:
-        passed, detail = _CHECKS[name][0](n, field, args.seed, budget)
+        passed, detail = CHECKS[name][0](n, field, args.seed, budget)
         results.append({"check": name, "pass": passed, "detail": detail})
     all_pass = all(r["pass"] for r in results)
 
@@ -375,7 +261,13 @@ def _cmd_verify(args, field, budget) -> int:
 # --- srg and graph-build --------------------------------------------------------
 
 
+# census.SRG_METHODS, named here for the same reason as CHECK_NAMES.
+SRG_METHODS = ("formula", "oracle")
+
+
 def _cmd_srg(args, field, budget) -> int:
+    from .census import srg_decide
+
     if args.method == "formula":
         _check_printable(args.n, field.q, "closed-form srg")
     report = srg_decide(args.n, field, method=args.method, budget=budget)
@@ -399,6 +291,8 @@ def _cmd_srg(args, field, budget) -> int:
 
 
 def _cmd_graph_build(args, field, budget) -> int:
+    from .graph import explicit_graph_build
+
     g = explicit_graph_build(args.n, field, budget=budget)
     result = g.pairwise_srg_test()
     if args.output == "json":

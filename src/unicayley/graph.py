@@ -1,10 +1,11 @@
-"""The unitary Cayley graph of M_n(GF(q)) and its strong-regularity decision.
+"""The unitary Cayley graph of M_n(GF(q)), materialized and checked pairwise.
 
 Vertices are all n x n matrices; two are adjacent when their difference is
 invertible.  The graph is vertex-transitive and the number of common
-neighbors of two distinct vertices depends only on rank(A - B), which is
-what makes the strong-regularity decision tractable: instead of scanning all
-vertex pairs it suffices to compare the per-rank counts.
+neighbors of two distinct vertices depends only on rank(A - B);
+census.srg_decide decides strong regularity from those per-rank counts.
+This module holds the pair queries and the explicit graph that checks that
+decision without rank theory.
 
 explicit_graph_build materializes the adjacency relation for tiny spaces: one
 scan finds the invertible set, the neighbors of the zero vertex, and every
@@ -20,21 +21,16 @@ Population Counts Using AVX2 Instructions", 2018).
 
 from __future__ import annotations
 
-from itertools import combinations, compress
+from itertools import compress
 from typing import NamedTuple
 
-from .census import (
-    _charge_oracle_pass,
-    _shifted_unit_counts,
-    gl_order,
-    intersection_count_formula,
-    srg_parameters_n2,
-)
+from .census import intersection_count_formula
 from .errors import check_budget
 from .fields import FieldSpec
 from .matrices import (
     Matrix,
-    canonical_rank_matrix,
+    _charge_oracle_pass,
+    _shifted_unit_counts,
     matrix_space_size,
     scan_space,
 )
@@ -116,127 +112,6 @@ def common_neighbors_by_rank(a: Matrix, b: Matrix) -> int:
     """
     r = (a - b).rank()
     return intersection_count_formula(r, a.n, a.field.q)
-
-
-class SrgWitness(NamedTuple):
-    """Two rank classes whose common-neighbor counts disagree."""
-
-    rank_pair: tuple[int, int]
-    counts: tuple[int, int]
-
-
-class SrgReport(NamedTuple):
-    """Verdict of the strong-regularity decision for one (n, q)."""
-
-    n: int
-    q: int
-    order: int
-    degree: int
-    lam: int
-    mu_by_rank: dict[int, int]
-    is_srg: bool
-    parameters: tuple[int, int, int, int] | None
-    witness: SrgWitness | None
-    note: str | None = None
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "n": self.n,
-            "q": self.q,
-            "order": self.order,
-            "degree": self.degree,
-            "lambda": self.lam,
-            "mu_by_rank": {str(r): self.mu_by_rank[r] for r in sorted(self.mu_by_rank)},
-            "is_srg": self.is_srg,
-            "parameters": list(self.parameters) if self.parameters else None,
-            "witness": (
-                {
-                    "rank_pair": list(self.witness.rank_pair),
-                    "counts": list(self.witness.counts),
-                }
-                if self.witness
-                else None
-            ),
-        }
-        if self.note is not None:
-            doc["note"] = self.note
-        return doc
-
-
-SRG_METHODS = ("formula", "oracle")
-
-
-def srg_decide(
-    n: int,
-    field: FieldSpec,
-    *,
-    method: str = "formula",
-    budget: int | None = None,
-) -> SrgReport:
-    """Decide strong regularity of the unitary Cayley graph of M_n(GF(q)).
-
-    counts[r] is the common-neighbor count of the zero vertex and
-    diag(I_r, 0): the degree for r = 0, lambda for r = n and mu for rank
-    class r = 1..n-1.  method="formula" takes them from
-    intersection_count_formula, which has a closed form for every rank, and
-    does no enumeration.  method="oracle" takes them from one full-space pass
-    over the n + 1 shifts, charged (n + 1) * q^(n^2) against the budget
-    before it starts; its degree is checked against gl_order.  For n = 2 the
-    parameters are checked against the paper's closed-form tuple on both
-    paths; a mismatch raises RuntimeError.  Complete graphs (n = 1) are
-    reported as not strongly regular by convention.
-    """
-    if method not in SRG_METHODS:
-        raise ValueError(f"method must be one of {SRG_METHODS}, got {method!r}")
-    q = field.q
-    if method == "oracle":
-        _charge_oracle_pass(n + 1, n, field, budget)
-    order = matrix_space_size(n, field)
-    degree = gl_order(n, q)
-    if method == "formula":
-        counts = [degree] + [
-            intersection_count_formula(r, n, q) for r in range(1, n + 1)
-        ]
-    else:
-        counts = _shifted_unit_counts(
-            [canonical_rank_matrix(n, r, field) for r in range(n + 1)]
-        )
-        if counts[0] != degree:
-            raise RuntimeError(
-                f"degree scan {counts[0]} disagrees with closed form {degree}"
-            )
-    lam = counts[n]
-    if n == 1:
-        return SrgReport(
-            n=n, q=q, order=order, degree=degree, lam=lam,
-            mu_by_rank={}, is_srg=False, parameters=None, witness=None,
-            note="complete graph: every pair is adjacent, so the "
-                 "non-adjacent condition is vacuous and the graph is "
-                 "excluded by convention",
-        )
-    mu_by_rank = {r: counts[r] for r in range(1, n)}
-    is_srg = len(set(mu_by_rank.values())) == 1
-    parameters = None
-    witness = None
-    if is_srg:
-        parameters = (order, degree, lam, mu_by_rank[1])
-        if n == 2 and parameters != srg_parameters_n2(q):
-            raise RuntimeError(
-                f"measured parameters {parameters} disagree with the "
-                f"closed-form tuple {srg_parameters_n2(q)}"
-            )
-    else:
-        r1, r2 = next(
-            (a, b)
-            for a, b in combinations(mu_by_rank, 2)
-            if mu_by_rank[a] != mu_by_rank[b]
-        )
-        witness = SrgWitness((r1, r2), (mu_by_rank[r1], mu_by_rank[r2]))
-    return SrgReport(
-        n=n, q=q, order=order, degree=degree, lam=lam,
-        mu_by_rank=mu_by_rank, is_srg=is_srg,
-        parameters=parameters, witness=witness,
-    )
 
 
 class PairwiseSrgResult(NamedTuple):

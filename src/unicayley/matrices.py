@@ -1,15 +1,16 @@
-"""Exact dense n x n matrices over a FieldSpec.
+"""Exact dense n x n matrices over a FieldSpec, and the enumeration oracles.
 
 Covers ring arithmetic, rank, determinant, the paper's singular-shift lemma,
 and canonical enumeration of the full matrix space by integer index (entry
 (0,0) is the least significant base-q digit).  One row reduction,
 _eliminate, gives every rank and every determinant above the closed forms
-for n <= 3.
+for n <= 3.  scan_space is the one full-space loop; the oracles below it
+count by enumeration what census computes in closed form, each in one pass.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
 
 from .errors import check_budget
 from .fields import FieldSpec
@@ -345,3 +346,111 @@ def scan_space(n: int, field: FieldSpec, visit) -> None:
     dets = _block_dets(n, field)
     for tail in _iter_flat(n * n - n, field.q):
         visit(tail, dets(tail))
+
+
+# --- enumeration oracles --------------------------------------------------------
+
+
+def _charge_oracle_pass(shifts: int, n: int, field: FieldSpec,
+                        budget: int | None) -> None:
+    """Charge one _shifted_unit_counts pass over shifts matrices of M_n(GF(q)).
+
+    The pass visits shifts * q^(n^2) matrix-shift pairs.  Call it before
+    building the shifts, so that a refused pass allocates nothing.
+    """
+    noun = "shift" if shifts == 1 else "shifts"
+    check_budget([(shifts, field.q, n * n)], budget,
+                 f"oracle pass over {shifts} {noun} in M_{n}({field!r})")
+
+
+def _shifted_unit_counts(shifts) -> list[int]:
+    """Count invertible N with N - d invertible for each shift d, in one pass.
+
+    The shifts are matrices of one space M_n(GF(q)); the caller has charged
+    the pass with _charge_oracle_pass.  In a block of the scan, with
+    first row x and tail T, det(N) = x . C and det(N - d) = x . C' - d_0 . C',
+    where C' is the cofactor vector of T - d_tail and d_0 is d's first row.
+    So the block's table of x . C' (the scan's own when d_tail is zero)
+    decides N - d for every x, against its entry at x = d_0.  Shifts that
+    share a tail share that table.
+    """
+    n, field = shifts[0].n, shifts[0].field
+    sub = field.sub_table
+    block_dets = _block_dets(n, field)
+    by_tail: dict[tuple, list] = {}
+    for i, d in enumerate(shifts):
+        by_tail.setdefault(d.entries[n:], []).append((i, d.index() % field.q ** n))
+    counts = [0] * len(shifts)
+
+    def visit(tail, dets):
+        for move, members in by_tail.items():
+            if any(move):
+                shifted = block_dets([sub[a][b] for a, b in zip(tail, move)])
+            else:
+                shifted = dets
+            kept = list(compress(shifted, dets))  # where N is invertible
+            for i, x0 in members:
+                counts[i] += len(kept) - kept.count(shifted[x0])
+
+    scan_space(n, field, visit)
+    return counts
+
+
+def intersection_count_oracle(
+    r: int,
+    n: int,
+    field: FieldSpec,
+    *,
+    budget: int | None = None,
+) -> int:
+    """Count invertible M with M - diag(I_r, 0) invertible, by full enumeration.
+
+    For r = 0 this degenerates to the invertible-matrix count; for r = n it is
+    the linear-derangement count.
+    """
+    _charge_oracle_pass(1, n, field, budget)
+    return _shifted_unit_counts([canonical_rank_matrix(n, r, field)])[0]
+
+
+def rank2_case_decomposition_oracle(
+    n: int,
+    field: FieldSpec,
+    *,
+    budget: int | None = None,
+) -> tuple[int, int, int]:
+    """Case totals (rank 2, rank 0, rank 1) behind the rank-2 count, n >= 3.
+
+    Counts invertible B whose leading 2 x 2 block B1 keeps B1 + I_2
+    invertible, classified by the rank of B1.  This set is equinumerous with
+    the rank-2 shifted intersection (invert each member, then translate), and
+    the case split matches rank2_case_formulas; classifying the intersection
+    set by its own leading block does not, because inversion scrambles
+    leading-block ranks.
+    """
+    if n < 3:
+        raise ValueError(f"case split needs n >= 3, got {n}")
+    check_budget([(1, field.q, n * n)], budget,
+                 f"rank-2 case decomposition over M_{n}({field!r})")
+    q = field.q
+    inc = [field.add(e, 1) for e in range(q)]
+    cases = [0, 0, 0]
+
+    def visit(tail, dets):
+        # the leading block (b00, b01; b10, b11) depends on the first two
+        # digits of the first row: label each, 3 when B1 + I_2 is singular
+        b10, b11 = tail[0], tail[1]
+        labels = []
+        for b01 in range(q):
+            for b00 in range(q):
+                if _det_flat((inc[b00], b01, b10, inc[b11]), 2, field) == 0:
+                    labels.append(3)
+                elif _det_flat((b00, b01, b10, b11), 2, field) != 0:
+                    labels.append(0)
+                else:
+                    labels.append(1 if b00 == b01 == b10 == b11 == 0 else 2)
+        kept = list(compress(labels * q ** (n - 2), dets))  # where B is invertible
+        for case in range(3):
+            cases[case] += kept.count(case)
+
+    scan_space(n, field, visit)
+    return tuple(cases)

@@ -26,7 +26,8 @@ from unicayley import (
     zero_matrix,
 )
 from unicayley import matrices
-from unicayley.census import _shifted_unit_counts, shifted_count_recursion
+from unicayley.census import shifted_count_recursion
+from unicayley.matrices import _shifted_unit_counts
 
 from helpers import random_distinct_pair
 

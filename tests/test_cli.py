@@ -20,8 +20,10 @@ from unicayley import (
     identity_matrix,
     intersection_count_oracle,
     make_field,
+    matrices,
     rank2_case_decomposition_oracle,
     srg_decide,
+    verify,
     zero_matrix,
 )
 from unicayley.cli import CHECK_NAMES, main
@@ -290,7 +292,7 @@ def test_verify_all_skips_rank2_at_n1(capsys):
 def test_verify_failure_exit_code(capsys, monkeypatch):
     # force a disagreement to cover the failure path end to end
     monkeypatch.setattr(
-        "unicayley.cli.rank1_intersection_formula", lambda n, q: -1
+        "unicayley.verify.rank1_intersection_formula", lambda n, q: -1
     )
     code, out, _ = run_cli(
         capsys, "verify", "--check", "rank1-count", "--n", "2", "--field", "2",
@@ -309,7 +311,7 @@ def test_verify_recurrence_checks_against_the_oracle(capsys, monkeypatch):
             e = e * (q ** i - 1) * q ** (i - 1) + (-1) ** i * q ** (i * (i - 1) // 2)
         return e
 
-    monkeypatch.setattr("unicayley.cli.derangements_formula", wrong_base)
+    monkeypatch.setattr("unicayley.verify.derangements_formula", wrong_base)
     code, out, _ = run_cli(
         capsys, "verify", "--check", "recurrence", "--n", "2", "--field", "3",
     )
@@ -320,7 +322,7 @@ def test_verify_recurrence_checks_against_the_oracle(capsys, monkeypatch):
 @pytest.mark.parametrize("check", ["rank1-count", "rank2-count"])
 def test_verify_checks_the_recursion_against_the_paper(capsys, monkeypatch, check):
     monkeypatch.setattr(
-        "unicayley.cli.intersection_count_formula", lambda r, n, q: -7
+        "unicayley.verify.intersection_count_formula", lambda r, n, q: -7
     )
     code, out, _ = run_cli(
         capsys, "verify", "--check", check, "--n", "3", "--field", "2",
@@ -544,13 +546,13 @@ def test_oracle_refusals_count_their_shifts(capsys):
 
 def test_oracle_queries_make_one_pass(capsys, monkeypatch):
     calls = []
-    scan = census.scan_space
+    scan = matrices.scan_space
 
     def counting_scan(*args, **kwargs):
         calls.append(args[:2])
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(census, "scan_space", counting_scan)
+    monkeypatch.setattr(matrices, "scan_space", counting_scan)
     F2 = make_field(2)
     assert srg_decide(3, F2, method="oracle").mu_by_rank == {1: 72, 2: 56}
     assert calls == [(3, F2)]
@@ -573,7 +575,7 @@ def test_no_scan_starts_before_its_charge(capsys, monkeypatch):
         scans.append(args[:2])
         raise AssertionError("a scan started before its charge")
 
-    for module in (census, graph, cli):
+    for module in (matrices, graph):
         monkeypatch.setattr(module, "scan_space", no_scan)
     F2 = make_field(2)
     a, b = zero_matrix(3, F2), identity_matrix(3, F2)
@@ -704,6 +706,34 @@ def test_import_loads_no_dataclasses_inspect_or_csv():
     code = ("import sys, unicayley.cli; "
             "print(sorted({'csv', 'dataclasses', 'inspect'} & set(sys.modules)))")
     assert run_python("-c", code) == (0, "[]\n", "")
+
+
+LOADED_BY_MAIN = """
+import sys, unicayley.cli
+code = unicayley.cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("unicayley")),
+      file=sys.stderr)
+"""
+FRONT_END = ["unicayley", "unicayley.cli", "unicayley.errors", "unicayley.fields"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["field-info", "--field", "2^8"], FRONT_END),
+    (["srg", "--n", "3", "--field", "3"], FRONT_END + ["unicayley.census"]),
+    (["census", "--n", "3", "--field", "3", "--method", "formula"],
+     FRONT_END + ["unicayley.census"]),
+])
+def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
+    # the closed forms run without the enumeration side (matrices, graph,
+    # verify), and field-info without the closed forms
+    code, _, err = run_python("-c", LOADED_BY_MAIN, *argv)
+    assert (code, err.split()) == (0, ["0", *sorted(loaded)])
+
+
+def test_parser_choices_are_the_library_names():
+    # the parser names them itself, so that building it loads neither module
+    assert CHECK_NAMES == (*verify.CHECKS, "all")
+    assert cli.SRG_METHODS == census.SRG_METHODS
 
 
 @pytest.mark.parametrize("argv, expected, first_line", [

@@ -26,7 +26,8 @@ from unicayley import (
     srg_decide,
     zero_matrix,
 )
-from unicayley.graph import CayleyGraph, PairwiseSrgResult, SrgWitness, _column_sums
+from unicayley.census import SrgWitness
+from unicayley.graph import CayleyGraph, PairwiseSrgResult, _column_sums
 
 from helpers import random_distinct_pair, random_invertible, random_matrix
 

@@ -1,6 +1,7 @@
 """Matrix arithmetic, elimination kernels, enumeration."""
 
 import ast
+import importlib
 import random
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from unicayley import (
     zero_matrix,
 )
 from unicayley.matrices import _det_flat, _eliminate, scan_space
-from helpers import random_invertible, random_matrix
+from helpers import random_invertible, random_matrix, run_python
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -316,3 +317,36 @@ def test_package_imports_only_the_standard_library():
                 roots.add(node.module.split(".")[0])
     assert roots
     assert sorted(roots - set(sys.stdlib_module_names) - {"unicayley"}) == []
+
+
+def test_every_public_name_is_its_home_modules_definition():
+    # the package resolves its names lazily; each must be the one object a
+    # single module of the package defines at top level, not a stand-in
+    package = Path(unicayley.__file__).parent
+    public = set(unicayley.__all__)
+    homes = {name: [] for name in public}
+    for module in package.glob("*.py"):
+        for node in ast.parse(module.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = {node.name}
+            elif isinstance(node, ast.Assign):
+                defined = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            else:
+                continue
+            for name in defined & public:
+                homes[name].append(module.stem)
+    for name, found in homes.items():
+        assert len(found) == 1 and found != ["__init__"], (name, found)
+        home = importlib.import_module(f"unicayley.{found[0]}")
+        assert getattr(unicayley, name) is getattr(home, name), name
+
+
+def test_package_names_load_on_first_access():
+    code = ("import sys, unicayley\n"
+            "print(sorted(m for m in sys.modules if m.startswith('unicayley')))\n"
+            "print(set(unicayley.__all__) <= set(dir(unicayley)))\n"
+            "from unicayley import matrices\n"
+            "print(unicayley.Matrix is matrices.Matrix)\n")
+    assert run_python("-c", code) == (0, "['unicayley']\nTrue\nTrue\n", "")
+    with pytest.raises(AttributeError, match="'unicayley' has no attribute 'matrixx'"):
+        unicayley.matrixx
