@@ -20,6 +20,7 @@ _HOMES = {
         "CensusRecord",
         "SrgReport",
         "SrgWitness",
+        "common_neighbors_by_rank",
         "derangements_formula",
         "gl_order",
         "intersection_count_formula",
@@ -35,13 +36,12 @@ _HOMES = {
         "CayleyGraph",
         "PairwiseSrgResult",
         "adjacent",
-        "common_neighbors_bruteforce",
-        "common_neighbors_by_rank",
         "explicit_graph_build",
     ),
     "matrices": (
         "Matrix",
         "canonical_rank_matrix",
+        "common_neighbors_bruteforce",
         "enumerate_matrices",
         "identity_matrix",
         "index_to_matrix",

@@ -6,10 +6,11 @@ matrices M such that M - diag(I_r, 0) is also invertible.  A Gaussian-binomial
 recursion gives it in closed form for every rank 0 <= r <= n, from the base
 cases r = 0 (the general linear group order) and r = n (linear
 derangements).  The paper's own forms for r = 1 and r = 2 are kept as
-independent checks of the recursion.  srg_decide compares these counts rank
-by rank.  The enumeration oracles that check every closed form live in
-matrices, beside the scan; srg_decide imports them only for
-method="oracle", so a closed-form decision never loads the enumeration side.
+independent checks of the recursion.  rank_counts takes the per-rank counts
+from the closed form or, importing matrices only then, from enumeration;
+srg_decide compares them rank by rank.  common_neighbors_by_rank is a pair
+query's closed form.  Every enumeration oracle lives in matrices, beside
+the scan, so a closed-form decision never loads the enumeration side.
 """
 
 from __future__ import annotations
@@ -44,14 +45,19 @@ def _validated(formula):
     return checked
 
 
+def _gl_tail(n: int, q: int, start: int) -> int:
+    """prod_{k=start}^{n-1} (q^n - q^k), the last factors of |GL_n(q)|."""
+    out = 1
+    qn = q ** n
+    for k in range(start, n):
+        out *= qn - q ** k
+    return out
+
+
 @_validated
 def gl_order(n: int, q: int) -> int:
     """Number of invertible n x n matrices over GF(q)."""
-    out = 1
-    qn = q ** n
-    for k in range(1, n + 1):
-        out *= qn - q ** (k - 1)
-    return out
+    return _gl_tail(n, q, 0)
 
 
 def derangements_formula(n: int, q: int) -> int:
@@ -77,11 +83,7 @@ def rank1_intersection_formula(n: int, q: int) -> int:
     (q^n - q^{n-1} - 1) * prod_{k=1}^{n-1} (q^n - q^k); the product is empty
     at n = 1, where the count degenerates to q - 2.
     """
-    qn = q ** n
-    out = qn - q ** (n - 1) - 1
-    for k in range(1, n):
-        out *= qn - q ** k
-    return out
+    return (q ** n - q ** (n - 1) - 1) * _gl_tail(n, q, 1)
 
 
 @_validated
@@ -97,9 +99,7 @@ def rank2_intersection_formula(n: int, q: int) -> int:
         q ** (2 * n) - q ** (2 * n - 1) - q ** (2 * n - 2) + q ** (2 * n - 3)
         + q ** (n - 1) - q ** (n + 1) + q
     )
-    for k in range(2, n):
-        head *= q ** n - q ** k
-    return head
+    return head * _gl_tail(n, q, 2)
 
 
 def rank2_case_formulas(n: int, q: int) -> tuple[int, int, int]:
@@ -111,9 +111,7 @@ def rank2_case_formulas(n: int, q: int) -> tuple[int, int, int]:
     _check_nq(n, q)
     if n < 3:
         raise ValueError(f"case split needs n >= 3, got {n}")
-    tail = 1
-    for k in range(2, n):
-        tail *= q ** n - q ** k
+    tail = _gl_tail(n, q, 2)
     e2 = derangements_formula(2, q)
     case1 = e2 * q ** (2 * n - 4) * tail
     case2 = (q ** (n - 2) - 1) * (q ** (n - 2) - q) * tail
@@ -150,7 +148,7 @@ def shifted_count_recursion(n: int, r: int, q: int) -> int:
     polynomial in q, so the recursion is defined at every integer q >= 2.
     """
     if r == 0:
-        return gl_order.__wrapped__(n, q)
+        return _gl_tail(n, q, 0)
     if r == n:
         return derangements_formula(n, q)
     k = n - r
@@ -162,7 +160,7 @@ def shifted_count_recursion(n: int, r: int, q: int) -> int:
             * q ** ((r - t) * (k - t))
             * shifted_count_recursion(r, r - t, q)
         )
-    return q ** (r * k) * gl_order.__wrapped__(k, q) * total
+    return q ** (r * k) * _gl_tail(k, q, 0) * total
 
 
 def intersection_count_formula(r: int, n: int, q: int) -> int:
@@ -176,6 +174,36 @@ def intersection_count_formula(r: int, n: int, q: int) -> int:
     if not isinstance(r, int) or not 0 <= r <= n:
         raise ValueError(f"rank must lie in [0, {n}], got {r!r}")
     return shifted_count_recursion(n, r, q)
+
+
+def rank_counts(n: int, field: FieldSpec, rank: int | None, method: str, *,
+                budget: int | None = None) -> list[int]:
+    """[c(n, rank)], or c(n, r) for every r = 0..n when rank is None.
+
+    method="formula" evaluates intersection_count_formula for each rank.
+    method="oracle" charges one pass over the shifts diag(I_r, 0) against
+    the budget, then builds them and counts by enumeration in that pass;
+    only this branch imports matrices.
+    """
+    _check_nq(n, field.q)
+    ranks = range(n + 1) if rank is None else (rank,)
+    if method == "formula":
+        return [intersection_count_formula(r, n, field.q) for r in ranks]
+    from .matrices import (_charge_oracle_pass, _shifted_unit_counts,
+                           canonical_rank_matrix)
+
+    _charge_oracle_pass(n + 1 if rank is None else 1, n, field, budget)
+    return _shifted_unit_counts([canonical_rank_matrix(n, r, field) for r in ranks])
+
+
+def common_neighbors_by_rank(a, b) -> int:
+    """Common-neighbor count of two matrices via the rank-class reduction.
+
+    The closed-form shifted-intersection count for r = rank(a - b), whose
+    canonical representative is diag(I_r, 0); a == b gives rank 0, the
+    degree.  matrices.common_neighbors_bruteforce is its oracle.
+    """
+    return intersection_count_formula((a - b).rank(), a.n, a.field.q)
 
 
 def srg_parameters_n2(q: int) -> tuple[int, int, int, int]:
@@ -272,36 +300,22 @@ def srg_decide(
     intersection_count_formula, which has a closed form for every rank, and
     does no enumeration.  method="oracle" takes them from one full-space pass
     over the n + 1 shifts, charged (n + 1) * q^(n^2) against the budget
-    before it starts; its degree is checked against gl_order.  For n = 2 the
-    parameters are checked against the paper's closed-form tuple on both
-    paths; a mismatch raises RuntimeError.  Complete graphs (n = 1) are
-    reported as not strongly regular by convention.
+    before it starts.  Both check their degree against gl_order, which the
+    formula path meets by construction.  For n = 2 the parameters are
+    checked against the paper's closed-form tuple on both paths; a mismatch
+    raises RuntimeError.  Complete graphs (n = 1) are reported as not
+    strongly regular by convention.
     """
     if method not in SRG_METHODS:
         raise ValueError(f"method must be one of {SRG_METHODS}, got {method!r}")
+    counts = rank_counts(n, field, None, method, budget=budget)
     q = field.q
-    if method == "oracle":
-        from .matrices import (
-            _charge_oracle_pass,
-            _shifted_unit_counts,
-            canonical_rank_matrix,
-        )
-
-        _charge_oracle_pass(n + 1, n, field, budget)
     order = q ** (n * n)
     degree = gl_order(n, q)
-    if method == "formula":
-        counts = [degree] + [
-            intersection_count_formula(r, n, q) for r in range(1, n + 1)
-        ]
-    else:
-        counts = _shifted_unit_counts(
-            [canonical_rank_matrix(n, r, field) for r in range(n + 1)]
+    if counts[0] != degree:
+        raise RuntimeError(
+            f"degree count {counts[0]} disagrees with closed form {degree}"
         )
-        if counts[0] != degree:
-            raise RuntimeError(
-                f"degree scan {counts[0]} disagrees with closed form {degree}"
-            )
     lam = counts[n]
     if n == 1:
         return SrgReport(

@@ -10,8 +10,9 @@ byte-identical documents.
 
 Each handler imports the modules its command runs when it runs, so a call
 loads no more of the package than its command uses: field-info only fields,
-a closed-form srg or census also census, and only the commands that scan
-the enumeration side (matrices, graph, verify).
+a closed-form srg or census also census, an oracle or a pair query also
+matrices, graph-build matrices and graph, and verify census, matrices and
+verify.  Every per-rank count comes from census.rank_counts.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _print_json(doc) -> None:
 
 def _census_records(args, n, field, budget):
     """Build (records, agrees_by_rank, pair_info) for the census command."""
-    from .census import CensusRecord, intersection_count_formula
+    from .census import CensusRecord, rank_counts
 
     q = field.q
     method = args.method
@@ -125,7 +126,7 @@ def _census_records(args, n, field, budget):
             raise UsageError("pair queries need both --matrix-a and --matrix-b")
         if args.rank is not None:
             raise UsageError("--rank conflicts with a pair query; the rank is derived")
-        from .matrices import parse_matrix
+        from .matrices import common_neighbors_bruteforce, parse_matrix
 
         try:
             a = parse_matrix(args.matrix_a, field)
@@ -146,31 +147,21 @@ def _census_records(args, n, field, budget):
             raise UsageError(msg) from None
         if not 0 <= r <= n:
             raise UsageError(f"--rank must lie in [0, {n}], got {r}")
+    counts = {}
+    if method != "formula":  # charged before any count is formed
+        counts["oracle"] = (
+            [common_neighbors_bruteforce(a, b, budget=budget)] if pair_info
+            else rank_counts(n, field, r, "oracle", budget=budget))
+    if method != "oracle":
+        counts["formula"] = rank_counts(n, field, r, "formula")
     ranks = range(n + 1) if r is None else [r]
-    if method != "formula":
-        from .matrices import (
-            _charge_oracle_pass,
-            _shifted_unit_counts,
-            canonical_rank_matrix,
-        )
-
-        _charge_oracle_pass(n + 1 if r is None else 1, n, field, budget)
-        oracle = _shifted_unit_counts(
-            [b - a] if pair_info else [canonical_rank_matrix(n, r, field) for r in ranks])
-
-    records: list[CensusRecord] = []
-    agrees: dict[int, bool] = {}
-    for i, r in enumerate(ranks):
-        counts = {}
-        if method in ("formula", "both"):
-            counts["formula"] = intersection_count_formula(r, n, q)
-        if method in ("oracle", "both"):
-            counts["oracle"] = oracle[i]
-        for m in ("formula", "oracle"):
-            if m in counts:
-                records.append(CensusRecord(n, q, r, m, counts[m]))
-        if method == "both":
-            agrees[r] = counts["formula"] == counts["oracle"]
+    records = [CensusRecord(n, q, rank, m, counts[m][i])
+               for i, rank in enumerate(ranks)
+               for m in ("formula", "oracle") if m in counts]
+    agrees = {}
+    if method == "both":
+        agrees = {rank: f == o for rank, f, o
+                  in zip(ranks, counts["formula"], counts["oracle"])}
     return records, agrees, pair_info
 
 

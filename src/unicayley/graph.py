@@ -4,8 +4,9 @@ Vertices are all n x n matrices; two are adjacent when their difference is
 invertible.  The graph is vertex-transitive and the number of common
 neighbors of two distinct vertices depends only on rank(A - B);
 census.srg_decide decides strong regularity from those per-rank counts.
-This module holds the pair queries and the explicit graph that checks that
-decision without rank theory.
+This module holds only the edge relation and the explicit graph that
+checks that decision without rank theory; the pair queries live beside the
+code they compute with, census (closed form) and matrices (enumeration).
 
 explicit_graph_build materializes the adjacency relation for tiny spaces: one
 scan finds the invertible set, the neighbors of the zero vertex, and every
@@ -24,16 +25,9 @@ from __future__ import annotations
 from itertools import compress
 from typing import NamedTuple
 
-from .census import intersection_count_formula
 from .errors import check_budget
 from .fields import FieldSpec
-from .matrices import (
-    Matrix,
-    _charge_oracle_pass,
-    _shifted_unit_counts,
-    matrix_space_size,
-    scan_space,
-)
+from .matrices import Matrix, matrix_space_size, scan_space
 
 # explicit_graph_build stores one bit per vertex pair; 2^16 vertices is the
 # 512 MB point and the hard cap.
@@ -89,29 +83,6 @@ def _column_sums(rows, width: int) -> list[int]:
 def adjacent(a: Matrix, b: Matrix) -> bool:
     """True iff a - b is invertible; symmetric, never true on the diagonal."""
     return (a - b).is_invertible()
-
-
-def common_neighbors_bruteforce(
-    a: Matrix, b: Matrix, *, budget: int | None = None
-) -> int:
-    """Count vertices adjacent to both a and b by scanning the whole space.
-
-    M is adjacent to both exactly when N = M - a and N - (b - a) are
-    invertible, and N runs over the whole space as M does; no rank theory.
-    """
-    _charge_oracle_pass(1, a.n, a.field, budget)
-    return _shifted_unit_counts([b - a])[0]
-
-
-def common_neighbors_by_rank(a: Matrix, b: Matrix) -> int:
-    """Common-neighbor count via the rank-class reduction.
-
-    Computes r = rank(a - b) and returns the closed-form shifted-intersection
-    count for the canonical representative diag(I_r, 0); equals the
-    brute-force count for every pair, and a == b gives rank 0, the degree.
-    """
-    r = (a - b).rank()
-    return intersection_count_formula(r, a.n, a.field.q)
 
 
 class PairwiseSrgResult(NamedTuple):

@@ -4,8 +4,10 @@ Covers ring arithmetic, rank, determinant, the paper's singular-shift lemma,
 and canonical enumeration of the full matrix space by integer index (entry
 (0,0) is the least significant base-q digit).  One row reduction,
 _eliminate, gives every rank and every determinant above the closed forms
-for n <= 3.  scan_space is the one full-space loop; the oracles below it
-count by enumeration what census computes in closed form, each in one pass.
+for n <= 3.  scan_space is the one full-space loop.  Every enumeration
+oracle lives below it and counts what census computes in closed form, each
+in one pass charged up front: the shifted-intersection count, the
+common-neighbor count of a pair, and the rank-2 case split.
 """
 
 from __future__ import annotations
@@ -410,6 +412,18 @@ def intersection_count_oracle(
     """
     _charge_oracle_pass(1, n, field, budget)
     return _shifted_unit_counts([canonical_rank_matrix(n, r, field)])[0]
+
+
+def common_neighbors_bruteforce(
+    a: Matrix, b: Matrix, *, budget: int | None = None
+) -> int:
+    """Count vertices adjacent to both a and b by scanning the whole space.
+
+    M is adjacent to both exactly when N = M - a and N - (b - a) are
+    invertible, and N runs over the whole space as M does; no rank theory.
+    """
+    _charge_oracle_pass(1, a.n, a.field, budget)
+    return _shifted_unit_counts([b - a])[0]
 
 
 def rank2_case_decomposition_oracle(

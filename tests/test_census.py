@@ -26,7 +26,7 @@ from unicayley import (
     zero_matrix,
 )
 from unicayley import matrices
-from unicayley.census import shifted_count_recursion
+from unicayley.census import rank_counts, shifted_count_recursion
 from unicayley.matrices import _shifted_unit_counts
 
 from helpers import random_distinct_pair
@@ -206,6 +206,8 @@ def test_fused_scan_equals_one_scan_per_shift(n, field):
     assert fused[:n + 1] == [intersection_count_formula(r, n, field.q)
                              for r in range(n + 1)]
     assert len(set(fused[:n + 1])) == n + 1
+    assert (rank_counts(n, field, None, "formula")
+            == rank_counts(n, field, None, "oracle") == fused[:n + 1])
 
 
 @pytest.mark.parametrize("n,field", [(1, make_field(3, 6)), (2, F3), (2, F4),

@@ -529,6 +529,9 @@ def test_oracle_refusals_count_their_shifts(capsys):
         (lambda: intersection_count_oracle(1, 2, F3, budget=80), "1 shift"),
         (lambda: common_neighbors_bruteforce(a, b, budget=80), "1 shift"),
         (lambda: srg_decide(2, F3, method="oracle", budget=80), "3 shifts"),
+        (lambda: census.rank_counts(2, F3, None, "oracle", budget=80),
+         "3 shifts"),
+        (lambda: census.rank_counts(2, F3, 1, "oracle", budget=80), "1 shift"),
     ):
         with pytest.raises(BudgetExceededError) as exc:
             run()
@@ -585,6 +588,7 @@ def test_no_scan_starts_before_its_charge(capsys, monkeypatch):
         lambda: rank2_case_decomposition_oracle(3, F2, budget=2),
         lambda: enumerate_matrices(3, F2, budget=2),
         lambda: srg_decide(3, F2, method="oracle", budget=2),
+        lambda: census.rank_counts(3, F2, None, "oracle", budget=2),
         lambda: explicit_graph_build(3, F2, budget=2),
     ):
         with pytest.raises(BudgetExceededError):
@@ -722,10 +726,17 @@ FRONT_END = ["unicayley", "unicayley.cli", "unicayley.errors", "unicayley.fields
     (["srg", "--n", "3", "--field", "3"], FRONT_END + ["unicayley.census"]),
     (["census", "--n", "3", "--field", "3", "--method", "formula"],
      FRONT_END + ["unicayley.census"]),
+    (["census", "--n", "2", "--field", "3", *PAIR],
+     FRONT_END + ["unicayley.census", "unicayley.matrices"]),
+    (["graph-build", "--n", "2", "--field", "2"],
+     FRONT_END + ["unicayley.graph", "unicayley.matrices"]),
+    (["verify", "--check", "rank1-count", "--n", "2", "--field", "2"],
+     FRONT_END + ["unicayley.census", "unicayley.matrices", "unicayley.verify"]),
 ])
 def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
     # the closed forms run without the enumeration side (matrices, graph,
-    # verify), and field-info without the closed forms
+    # verify), field-info without the closed forms, the explicit graph
+    # without them, and the checks without the explicit graph
     code, _, err = run_python("-c", LOADED_BY_MAIN, *argv)
     assert (code, err.split()) == (0, ["0", *sorted(loaded)])
 

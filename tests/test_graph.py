@@ -219,6 +219,14 @@ def test_srg_decide_rejects_unknown_method():
         srg_decide(2, F2, method="both")
 
 
+@pytest.mark.parametrize("method", ["formula", "oracle"])
+def test_srg_decide_rejects_a_bad_side(method):
+    # before either path builds a shift or a count
+    for n in (0, 2.0):
+        with pytest.raises(ValueError, match="matrix side"):
+            srg_decide(n, F2, method=method)
+
+
 def test_explicit_build_gf2():
     g = explicit_graph_build(2, F2)
     assert g.order == 16
