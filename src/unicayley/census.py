@@ -171,24 +171,37 @@ def intersection_count_formula(r: int, n: int, q: int) -> int:
     and rank-2 forms are independent checks of it, not inputs.
     """
     _check_nq(n, q)
+    _check_rank(r, n)
+    return shifted_count_recursion(n, r, q)
+
+
+def _check_rank(r: int, n: int) -> None:
     if not isinstance(r, int) or not 0 <= r <= n:
         raise ValueError(f"rank must lie in [0, {n}], got {r!r}")
-    return shifted_count_recursion(n, r, q)
+
+
+SRG_METHODS = ("formula", "oracle")
 
 
 def rank_counts(n: int, field: FieldSpec, rank: int | None, method: str, *,
                 budget: int | None = None) -> list[int]:
     """[c(n, rank)], or c(n, r) for every r = 0..n when rank is None.
 
-    method="formula" evaluates intersection_count_formula for each rank.
+    Before any charge, a method outside SRG_METHODS, a bad (n, q) or a rank
+    outside [0, n] raises ValueError.  method="formula" evaluates
+    shifted_count_recursion for each rank.
     method="oracle" charges one pass over the shifts diag(I_r, 0) against
     the budget, then builds them and counts by enumeration in that pass;
     only this branch imports matrices.
     """
+    if method not in SRG_METHODS:
+        raise ValueError(f"method must be one of {SRG_METHODS}, got {method!r}")
     _check_nq(n, field.q)
+    if rank is not None:
+        _check_rank(rank, n)
     ranks = range(n + 1) if rank is None else (rank,)
     if method == "formula":
-        return [intersection_count_formula(r, n, field.q) for r in ranks]
+        return [shifted_count_recursion(n, r, field.q) for r in ranks]
     from .matrices import (_charge_oracle_pass, _shifted_unit_counts,
                            canonical_rank_matrix)
 
@@ -282,9 +295,6 @@ class SrgReport(NamedTuple):
         return doc
 
 
-SRG_METHODS = ("formula", "oracle")
-
-
 def srg_decide(
     n: int,
     field: FieldSpec,
@@ -296,8 +306,8 @@ def srg_decide(
 
     counts[r] is the common-neighbor count of the zero vertex and
     diag(I_r, 0): the degree for r = 0, lambda for r = n and mu for rank
-    class r = 1..n-1.  method="formula" takes them from
-    intersection_count_formula, which has a closed form for every rank, and
+    class r = 1..n-1, from rank_counts, which checks the arguments.
+    method="formula" takes them from the closed form for every rank and
     does no enumeration.  method="oracle" takes them from one full-space pass
     over the n + 1 shifts, charged (n + 1) * q^(n^2) against the budget
     before it starts.  Both check their degree against gl_order, which the
@@ -306,8 +316,6 @@ def srg_decide(
     raises RuntimeError.  Complete graphs (n = 1) are reported as not
     strongly regular by convention.
     """
-    if method not in SRG_METHODS:
-        raise ValueError(f"method must be one of {SRG_METHODS}, got {method!r}")
     counts = rank_counts(n, field, None, method, budget=budget)
     q = field.q
     order = q ** (n * n)

@@ -79,19 +79,15 @@ def _resolve_budget(args) -> int:
     return DEFAULT_BUDGET
 
 
-# Python's own default for sys.get_int_max_str_digits(), used when the
-# interpreter's limit is switched off (0).
-DEFAULT_MAX_STR_DIGITS = 4300
-
-
 def _check_printable(n: int, q: int, what: str) -> None:
     """Refuse a closed-form run whose counts could not be printed.
 
     Every count is below q^{n^2}, the number of n x n matrices, so the run is
     refused when q^{n^2} has more decimal digits than the interpreter converts
-    to a string.  This also bounds the work of the recursion.
+    to a string, or than the interpreter's default limit when that check is
+    switched off (0).  This also bounds the work of the recursion.
     """
-    limit = sys.get_int_max_str_digits() or DEFAULT_MAX_STR_DIGITS
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     bound = 10 ** limit
     # the bit-length bound spares building q^{n^2} for a huge n; below it
     # the exact power is cheap to form and compare

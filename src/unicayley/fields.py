@@ -3,8 +3,10 @@
 An element is an integer code in [0, q): the base-p digits of the code are
 the coefficients of the representing polynomial, constant term in the least
 significant digit.  Prime fields (k = 1) are integers mod p; extension
-fields reduce polynomials modulo a fixed monic irreducible modulus chosen
-deterministically, so repeated constructions of the same field agree.
+fields reduce polynomials modulo the smallest monic irreducible modulus,
+which FieldSpec(p, k) picks itself, so repeated constructions of the same
+field agree.  make_field is the validated front door: it checks p and k
+and charges q against the budget before FieldSpec builds anything.
 
 Every field offers one lookup interface for its arithmetic: add_table,
 sub_table and mul_table are indexed t[a][b], inv_table t[a], and -b is
@@ -23,21 +25,6 @@ from .errors import DEFAULT_BUDGET, check_budget
 
 # Only this module tells stored tables from computed ones.
 TABLE_LIMIT = 256
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def factor_prime_power(q: int) -> tuple[int, int] | None:
@@ -59,6 +46,10 @@ def factor_prime_power(q: int) -> tuple[int, int] | None:
         m //= p
         k += 1
     return (p, k) if m == 1 else None
+
+
+def is_prime(n: int) -> bool:
+    return factor_prime_power(n) == (n, 1)
 
 
 # --- polynomials over GF(p), ascending coefficient lists ---------------------
@@ -105,6 +96,11 @@ def is_irreducible(poly: list[int], p: int) -> bool:
         raise ValueError(f"coefficients must lie in [0, {p})")
     if poly[-1] != 1:
         raise ValueError("polynomial must be monic")
+    return _irreducible(poly, p)
+
+
+def _irreducible(poly: list[int], p: int) -> bool:
+    # unchecked: poly must be monic with coefficients in [0, p), p prime
     deg = len(poly) - 1
     for d in range(1, deg // 2 + 1):
         for tail in product(range(p), repeat=d):
@@ -119,7 +115,7 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     # term, so the first hit is the lexicographically smallest modulus.
     for high_to_low in product(range(p), repeat=k):
         coeffs = list(reversed(high_to_low)) + [1]
-        if is_irreducible(coeffs, p):
+        if _irreducible(coeffs, p):
             return tuple(coeffs)
     raise AssertionError(f"no irreducible polynomial of degree {k} over GF({p})")
 
@@ -164,6 +160,8 @@ class _ComputedTable:
 class FieldSpec:
     """A finite field GF(p^k) operating on integer element codes in [0, q).
 
+    For k > 1 the modulus is the smallest monic irreducible polynomial of
+    degree k over GF(p) (see make_field); construction charges no budget.
     Immutable after construction; all operations are pure, so instances may
     be shared freely.  Hot loops index the lookup tables add_table,
     sub_table, mul_table (t[a][b]) and inv_table (t[a]) directly, on codes
@@ -175,26 +173,15 @@ class FieldSpec:
     __slots__ = ("p", "k", "q", "modulus",
                  "add_table", "sub_table", "mul_table", "inv_table")
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None = None):
-        if not is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p}")
-        if k < 1:
-            raise ValueError(f"extension degree must be >= 1, got {k}")
-        if k == 1:
-            if modulus is not None:
-                raise ValueError("prime fields take no modulus")
-        else:
-            if modulus is None:
-                raise ValueError(f"GF({p}^{k}) requires a degree-{k} modulus")
-            modulus = tuple(modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {k}")
-            if not is_irreducible(list(modulus), p):
-                raise ValueError("modulus must be irreducible")
+    def __init__(self, p: int, k: int):
+        if not isinstance(p, int) or not is_prime(p):
+            raise ValueError(f"characteristic must be prime, got {p!r}")
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"extension degree must be an integer >= 1, got {k!r}")
         self.p = p
         self.k = k
         self.q = p ** k
-        self.modulus = modulus
+        self.modulus = _smallest_irreducible(p, k) if k > 1 else None
         if self.q <= TABLE_LIMIT:
             self._build_tables()
         else:
@@ -315,12 +302,13 @@ class FieldSpec:
 
 
 def make_field(p: int, k: int = 1, *, max_order: int = DEFAULT_BUDGET) -> FieldSpec:
-    """Construct GF(p^k) with the deterministic choice of modulus.
+    """Validate p and k, charge q = p^k against max_order, then build GF(q).
 
     For k > 1 the modulus is the lexicographically smallest monic irreducible
     polynomial of degree k over GF(p), comparing coefficients from the
-    highest degree down.  The budget is checked before the primality test,
-    whose trial division runs to sqrt(p).
+    highest degree down; FieldSpec(p, k) picks it.  The primality test,
+    whose trial division runs to sqrt(p), runs only when p <= max_order, so
+    a huge p is refused by the budget before any division.
 
     Raises:
         ValueError: p is not prime, or k < 1.
@@ -332,5 +320,4 @@ def make_field(p: int, k: int = 1, *, max_order: int = DEFAULT_BUDGET) -> FieldS
         raise ValueError(f"characteristic must be a prime integer, got {p!r}")
     # p > max_order fails here
     check_budget([(1, p, k)], max_order, f"construction of GF({p}^{k})")
-    modulus = _smallest_irreducible(p, k) if k > 1 else None
-    return FieldSpec(p, k, modulus)
+    return FieldSpec(p, k)

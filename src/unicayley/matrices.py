@@ -29,10 +29,8 @@ class Matrix:
         entries = tuple(entries)
         if len(entries) != n * n:
             raise ValueError(f"expected {n * n} entries, got {len(entries)}")
-        q = field.q
         for e in entries:
-            if not isinstance(e, int) or not 0 <= e < q:
-                raise ValueError(f"{e!r} is not an element code of {field!r}")
+            field._check(e)
         self.n = n
         self.entries = entries
         self.field = field
@@ -184,11 +182,12 @@ def parse_matrix(text: str, field: FieldSpec) -> Matrix:
 def _det_flat(e, n: int, field: FieldSpec) -> int:
     """Determinant of a flat row-major entry sequence.
 
-    Closed forms for n <= 3; above that, (-1)^swaps times the product of
-    _eliminate's pivots, or 0 when a column has none.
+    Closed forms for n <= 3, with 1 for n = 0 (the empty minor of the n = 1
+    block scan); above that, (-1)^swaps times the product of _eliminate's
+    pivots, or 0 when a column has none.
     """
-    if n == 1:
-        return e[0]
+    if n < 2:
+        return e[0] if n else 1
     mt = field.mul_table
     st = field.sub_table
     if n == 2:
@@ -210,14 +209,14 @@ def _det_flat(e, n: int, field: FieldSpec) -> int:
 
 
 def _eliminate(rows: list[list[int]], field: FieldSpec) -> tuple[list[int], int]:
-    """Row-reduce a rectangular list-of-rows in place.
+    """Row-reduce a nonempty rectangular list-of-rows in place.
 
     Returns (pivots, swaps): the pivot entries in column order, so the rank
     is len(pivots), and the number of row exchanges made.  This is the one
     elimination loop of the package, behind both rank and determinant.
     """
     m = len(rows)
-    width = len(rows[0]) if rows else 0  # no rows: the empty minor of n = 1
+    width = len(rows[0])
     sub, mul, inv = field.sub_table, field.mul_table, field.inv_table
     pivots: list[int] = []
     swaps = 0

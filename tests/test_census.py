@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -26,7 +27,7 @@ from unicayley import (
     zero_matrix,
 )
 from unicayley import matrices
-from unicayley.census import rank_counts, shifted_count_recursion
+from unicayley.census import SRG_METHODS, rank_counts, shifted_count_recursion
 from unicayley.matrices import _shifted_unit_counts
 
 from helpers import random_distinct_pair
@@ -322,6 +323,18 @@ def test_oracle_budget_refusal():
     assert err.value.required == 81
     with pytest.raises(BudgetExceededError):
         intersection_count_oracle(1, 3, F3, budget=100)
+
+
+@pytest.mark.parametrize("rank,method", [
+    (None, "formla"), (None, "both"), (1.0, "oracle"), (3, "oracle"), (-1, "formula"),
+])
+def test_rank_counts_checks_its_arguments_before_any_charge(rank, method):
+    # a budget of 1 refuses every pass, so a charge before the check would
+    # raise BudgetExceededError instead
+    message = (f"rank must lie in [0, 2], got {rank!r}" if method in SRG_METHODS
+               else f"method must be one of {SRG_METHODS}, got {method!r}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rank_counts(2, F2, rank, method, budget=1)
 
 
 def test_census_record_json():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import unicayley
-from unicayley import BudgetExceededError, is_irreducible, make_field
+from unicayley import BudgetExceededError, FieldSpec, is_irreducible, make_field
 from unicayley.fields import TABLE_LIMIT, factor_prime_power, is_prime, poly_text
 
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
@@ -55,6 +55,19 @@ def test_modulus_is_smallest_irreducible(p, k, expected):
             break
     assert found == expected
     assert make_field(p, k).modulus == expected
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 8), (3, 6), (5, 3)])
+def test_fieldspec_picks_the_modulus_of_make_field(p, k):
+    field = FieldSpec(p, k)
+    assert field == make_field(p, k)
+    assert field.modulus == make_field(p, k).modulus
+
+
+@pytest.mark.parametrize("p,k", [(2.0, 1), (4, 1), (2, 1.0), (2, 2.0), (2, 0)])
+def test_fieldspec_rejects_a_bad_characteristic_or_degree(p, k):
+    with pytest.raises(ValueError):
+        FieldSpec(p, k)
 
 
 def test_make_field_is_deterministic():
@@ -275,6 +288,16 @@ def test_factor_prime_power():
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_is_prime_agrees_with_a_sieve():
+    limit = 5000
+    sieve = [False, False] + [True] * (limit - 2)
+    for d in range(2, limit):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, limit, d))
+    assert [n for n in range(-3, limit) if is_prime(n)] == [
+        n for n in range(limit) if sieve[n]]
 
 
 def test_poly_text():
