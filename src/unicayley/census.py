@@ -19,6 +19,7 @@ import functools
 from itertools import combinations
 from typing import NamedTuple
 
+from .errors import check_rank
 from .fields import FieldSpec, factor_prime_power
 
 
@@ -171,13 +172,8 @@ def intersection_count_formula(r: int, n: int, q: int) -> int:
     and rank-2 forms are independent checks of it, not inputs.
     """
     _check_nq(n, q)
-    _check_rank(r, n)
+    check_rank(r, n)
     return shifted_count_recursion(n, r, q)
-
-
-def _check_rank(r: int, n: int) -> None:
-    if not isinstance(r, int) or not 0 <= r <= n:
-        raise ValueError(f"rank must lie in [0, {n}], got {r!r}")
 
 
 SRG_METHODS = ("formula", "oracle")
@@ -198,7 +194,7 @@ def rank_counts(n: int, field: FieldSpec, rank: int | None, method: str, *,
         raise ValueError(f"method must be one of {SRG_METHODS}, got {method!r}")
     _check_nq(n, field.q)
     if rank is not None:
-        _check_rank(rank, n)
+        check_rank(rank, n)
     ranks = range(n + 1) if rank is None else (rank,)
     if method == "formula":
         return [shifted_count_recursion(n, r, field.q) for r in ranks]

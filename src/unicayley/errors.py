@@ -1,4 +1,4 @@
-"""The budget exception and the one budget gate, check_budget."""
+"""The budget exception, the one budget gate check_budget, and check_rank."""
 
 from __future__ import annotations
 
@@ -84,3 +84,9 @@ def check_budget(
         total += c * b ** e
     if total > effective:
         raise BudgetExceededError(total, effective, what, unit=unit, remedy=remedy)
+
+
+def check_rank(r: int, n: int) -> None:
+    """Raise ValueError unless r is a rank of an n x n matrix, 0..n."""
+    if not isinstance(r, int) or not 0 <= r <= n:
+        raise ValueError(f"rank must lie in [0, {n}], got {r!r}")

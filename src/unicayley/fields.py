@@ -232,10 +232,15 @@ class FieldSpec:
 
     def _build_tables(self) -> None:
         p, q = self.p, self.q
-        # exp[i] = g^i for the first g whose powers reach every nonzero code
+        # exp[i] = g^i for the first g whose powers reach every nonzero code;
+        # in a field every walk returns to 1 within q - 1 steps, and in any
+        # other ring a zero divisor's walk never does
         for g in range(1, q):
             exp, x = [1], g
             while x != 1:
+                if len(exp) == q - 1:
+                    raise ValueError(f"powers of {g} never return to 1: "
+                                     f"{p}^{self.k} is not a field order")
                 exp.append(x)
                 x = self._mul_raw(x, g)
             if len(exp) == q - 1:

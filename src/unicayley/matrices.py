@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import compress, product
 
-from .errors import check_budget
+from .errors import check_budget, check_rank
 from .fields import FieldSpec
 
 
@@ -148,8 +148,7 @@ def identity_matrix(n: int, field: FieldSpec) -> Matrix:
 
 def canonical_rank_matrix(n: int, r: int, field: FieldSpec) -> Matrix:
     """diag(I_r, 0): the canonical representative of rank r."""
-    if not 0 <= r <= n:
-        raise ValueError(f"rank must lie in [0, {n}], got {r}")
+    check_rank(r, n)
     flat = [0] * (n * n)
     for i in range(r):
         flat[i * (n + 1)] = 1
@@ -407,8 +406,9 @@ def intersection_count_oracle(
     """Count invertible M with M - diag(I_r, 0) invertible, by full enumeration.
 
     For r = 0 this degenerates to the invertible-matrix count; for r = n it is
-    the linear-derangement count.
+    the linear-derangement count.  The rank is checked before the charge.
     """
+    check_rank(r, n)
     _charge_oracle_pass(1, n, field, budget)
     return _shifted_unit_counts([canonical_rank_matrix(n, r, field)])[0]
 
@@ -420,9 +420,11 @@ def common_neighbors_bruteforce(
 
     M is adjacent to both exactly when N = M - a and N - (b - a) are
     invertible, and N runs over the whole space as M does; no rank theory.
+    a and b must share a space, checked before the charge.
     """
+    shift = b - a
     _charge_oracle_pass(1, a.n, a.field, budget)
-    return _shifted_unit_counts([b - a])[0]
+    return _shifted_unit_counts([shift])[0]
 
 
 def rank2_case_decomposition_oracle(

@@ -277,6 +277,9 @@ def test_wider_field_sweep_n2(q, field_args):
 def test_intersection_oracle_rejects_bad_rank():
     with pytest.raises(ValueError):
         intersection_count_oracle(3, 2, F2)
+    # the rank is checked before the charge, which budget 1 would refuse
+    with pytest.raises(ValueError, match=re.escape("rank must lie in [0, 2], got 3")):
+        intersection_count_oracle(3, 2, F2, budget=1)
 
 
 def test_srg_parameters_examples():

@@ -3,8 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -774,6 +776,35 @@ def test_closed_stdout_exits_141_without_a_traceback():
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert (code, err) == (141, b"")
+
+
+@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                    reason="lists children through /proc; forks only on 2+ CPUs")
+def test_a_killed_graph_build_leaves_no_process():
+    # (2,8) splits its pairwise test across the CPUs.  Killed mid-test, its
+    # children find their parent gone at their next row and exit, closing
+    # the output pipes they inherited, so reading them reaches EOF.
+    with popen_module("graph-build", "--n", "2", "--field", "8") as proc:
+        listing = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        deadline = time.monotonic() + 30
+        while not (children := listing.read_text().split()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.002)
+        proc.kill()
+        proc.communicate(timeout=30)
+
+    def running(pid):
+        # neither gone nor a zombie waiting for whichever process adopted it
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return False
+        return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+    # a child closes its files before it is done exiting
+    while any(map(running, children)):
+        assert time.monotonic() < deadline
+        time.sleep(0.002)
 
 
 def test_no_stdout_at_all_is_still_success(monkeypatch):

@@ -11,6 +11,8 @@ import unicayley
 from unicayley import BudgetExceededError, FieldSpec, is_irreducible, make_field
 from unicayley.fields import TABLE_LIMIT, factor_prime_power, is_prime, poly_text
 
+from helpers import run_python
+
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
 
 
@@ -68,6 +70,25 @@ def test_fieldspec_picks_the_modulus_of_make_field(p, k):
 def test_fieldspec_rejects_a_bad_characteristic_or_degree(p, k):
     with pytest.raises(ValueError):
         FieldSpec(p, k)
+
+
+def test_table_build_refuses_a_ring_that_is_no_field():
+    # in Z/4 the powers of 2 never return to 1; an unbounded walk grows its
+    # list until memory runs out, so the build runs in a child interpreter
+    # with its address space capped at 256 MB and a timeout
+    code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+from unicayley.fields import FieldSpec
+spec = FieldSpec.__new__(FieldSpec)
+spec.p, spec.k, spec.q, spec.modulus = 4, 1, 4, None
+try:
+    spec._build_tables()
+except ValueError as exc:
+    print(exc)
+"""
+    rc, out, err = run_python("-c", code)
+    assert (rc, out, err) == (0, "powers of 2 never return to 1: 4^1 is not a field order\n", "")
 
 
 def test_make_field_is_deterministic():

@@ -1,5 +1,6 @@
 """Adjacency, invariance laws, the SRG decision, and the pairwise oracle."""
 
+import os
 import random
 import time
 
@@ -18,6 +19,7 @@ from unicayley import (
     enumerate_matrices,
     explicit_graph_build,
     gl_order,
+    graph,
     identity_matrix,
     index_to_matrix,
     intersection_count_oracle,
@@ -27,7 +29,7 @@ from unicayley import (
     zero_matrix,
 )
 from unicayley.census import SrgWitness
-from unicayley.graph import CayleyGraph, PairwiseSrgResult, _column_sums
+from unicayley.graph import CayleyGraph, PairwiseSrgResult, _column_sums, _pairwise_srg_test
 
 from helpers import random_distinct_pair, random_invertible, random_matrix
 
@@ -53,6 +55,17 @@ def test_adjacent_is_symmetric_exhaustive():
 def test_adjacent_rejects_mismatch():
     with pytest.raises(ValueError):
         adjacent(identity_matrix(2, F2), identity_matrix(2, F3))
+
+
+@pytest.mark.parametrize("a,b,message", [
+    (zero_matrix(2, F2), zero_matrix(3, F2), "dimension mismatch"),
+    (zero_matrix(2, F2), zero_matrix(2, F3), "field mismatch"),
+])
+def test_bruteforce_rejects_a_mismatch_before_its_charge(a, b, message):
+    # budget 1 refuses every pass, so a charge first would raise
+    # BudgetExceededError instead
+    with pytest.raises(ValueError, match=message):
+        common_neighbors_bruteforce(a, b, budget=1)
 
 
 def test_translation_invariance_random():
@@ -493,3 +506,129 @@ def test_pairwise_paley_and_cliques():
         PairwiseSrgResult(13, 7, 4, 3, True))
     assert CayleyGraph(0, F2, _cliques(4, 3)).pairwise_srg_test() == (
         PairwiseSrgResult(12, 3, 2, 0, True))
+
+
+# --- the pairwise test split across forked children ------------------------------
+
+VARY = PairwiseSrgResult(None, None, None, None, False,
+                         note="common-neighbor counts vary within a class")
+
+
+def _assert_no_child_left():
+    # every child the test forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cube(dim):
+    return _rows(1 << dim, lambda i, j: (i ^ j).bit_count() == 1)
+
+
+def _union(*graphs):
+    # disjoint union, each graph's vertices after those of the one before
+    rows, offset = [], 0
+    for adj in graphs:
+        rows += [bits << offset for bits in adj]
+        offset += len(adj)
+    return rows
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("family", PAIRWISE_FAMILIES)
+def test_split_equals_pair_by_pair_reference(family, workers):
+    # as test_pairwise_equals_pair_by_pair_reference, with the rows cut into
+    # ranges run by forked children
+    for adj in PAIRWISE_FAMILIES[family]:
+        every = (1 << len(adj)) - 1
+        for rows in (adj, [every ^ bits for bits in adj],
+                     [every ^ bits ^ (1 << i) for i, bits in enumerate(adj)]):
+            assert _pairwise_srg_test(rows, workers) == _pairwise_by_pairs(rows)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_merges_ranges_that_saw_one_class_each(workers):
+    # two K2 and four vertices with only a loop: a loop's row has no
+    # neighbor class, so the last range sees mu alone
+    adj = _union(_cliques(2, 2), _cliques(1, 4, loops=True))
+    assert _pairwise_srg_test(adj, workers) == _pairwise_by_pairs(adj) == (
+        PairwiseSrgResult(8, 1, 0, 0, True))
+    # no symmetric graph has a row with only a neighbor class beside one
+    # with only a non-neighbor class; these asymmetric rows (0 -> 1, 1 -> 1)
+    # do, and every split must merge lambda from one range, mu from another
+    assert _pairwise_srg_test([0b10, 0b10], workers) == _pairwise_srg_test(
+        [0b10, 0b10], 1) == PairwiseSrgResult(2, 1, 1, 0, True)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_reads_a_vary_from_a_child(workers):
+    # four K4 then the 3-cube, all 3-regular: the rows of the cliques agree
+    # on (2, 0), and only the cube's rows, the last third, vary
+    adj = _union(*[_cliques(4, 1)] * 4, _cube(3))
+    assert graph._split_rows(adj, 3, 0, 1) == graph._VARY
+    assert graph._pairwise_rows(adj, 3, 0, range(16)) == (2, 0)
+    assert _pairwise_srg_test(adj, workers) == _pairwise_by_pairs(adj) == (
+        VARY._replace(order=24, degree=3))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_stops_at_a_vary_in_its_own_range(workers):
+    # the cube first: the parent's own range varies, and it kills and reaps
+    # its children without reading them
+    adj = _union(_cube(3), *[_cliques(4, 1)] * 4)
+    assert _pairwise_srg_test(adj, workers) == VARY._replace(order=24, degree=3)
+    _assert_no_child_left()
+
+
+def test_split_raises_when_a_child_fails(monkeypatch):
+    def fail(rows, parent):
+        raise OSError("worker failed")
+        yield
+
+    monkeypatch.setattr(graph, "_while_parent_lives", fail)
+    with pytest.raises(RuntimeError, match=r"pairwise worker \d+ failed \(exit code 1\)"):
+        _pairwise_srg_test(_paley(13), 2)
+    _assert_no_child_left()
+
+
+def test_split_keeps_a_range_whose_fork_fails(monkeypatch):
+    # with no process to spare, every range runs in process
+    def fail():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fail)
+    for adj in (_paley(13), _union(*[_cliques(4, 1)] * 4, _cube(3))):
+        assert _pairwise_srg_test(adj, 3) == _pairwise_by_pairs(adj)
+    _assert_no_child_left()
+
+
+def test_child_messages_parse_strictly():
+    assert graph._decode(b"vary") == graph._VARY
+    assert graph._decode(b"2 3") == (2, 3)
+    assert graph._decode(b"- 0") == (None, 0)
+    assert graph._decode(b"- -") == (None, None)
+    for message in (b"", b"2", b"2 3 4", b"2  3", b" 2 3", b"+2 3", b"2 x", b"VARY",
+                    "\u0662 3".encode()):
+        with pytest.raises(RuntimeError, match="malformed message"):
+            graph._decode(message)
+
+
+def test_a_child_stops_once_its_parent_has_gone():
+    assert list(graph._while_parent_lives(range(3), os.getppid())) == [0, 1, 2]
+    rows = graph._while_parent_lives(range(3), os.getpid())
+    with pytest.raises(ProcessLookupError):
+        next(rows)
+
+
+def test_worker_count_follows_cpus_and_work(monkeypatch):
+    per = graph.ROW_ADDITIONS_PER_WORKER
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert [graph._worker_count(k * per) for k in (0, 1, 2, 3, 100)] == [1, 1, 2, 3, 3]
+    # graph-build keeps (2,5) and (3,2) in process and splits (2,7)
+    assert graph._worker_count(5 ** 4 * (5 ** 4 - gl_order(2, 5))) == 1
+    assert graph._worker_count(2 ** 9 * gl_order(3, 2)) == 1
+    assert graph._worker_count(7 ** 4 * (7 ** 4 - gl_order(2, 7))) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert graph._worker_count(100 * per) == 1
