@@ -186,8 +186,9 @@ def rank_counts(n: int, field: FieldSpec, rank: int | None, method: str, *,
     Before any charge, a method outside SRG_METHODS, a bad (n, q) or a rank
     outside [0, n] raises ValueError.  method="formula" evaluates
     shifted_count_recursion for each rank.
-    method="oracle" charges one pass over the shifts diag(I_r, 0) against
-    the budget, then builds them and counts by enumeration in that pass;
+    method="oracle" charges shifts * q^(n^2) for the shifts diag(I_r, 0)
+    against the budget, then builds them and counts them all in one
+    column-span transfer (matrices._transfer_counts), with no rank theory;
     only this branch imports matrices.
     """
     if method not in SRG_METHODS:
@@ -198,11 +199,11 @@ def rank_counts(n: int, field: FieldSpec, rank: int | None, method: str, *,
     ranks = range(n + 1) if rank is None else (rank,)
     if method == "formula":
         return [shifted_count_recursion(n, r, field.q) for r in ranks]
-    from .matrices import (_charge_oracle_pass, _shifted_unit_counts,
+    from .matrices import (_charge_oracle_pass, _transfer_counts,
                            canonical_rank_matrix)
 
     _charge_oracle_pass(n + 1 if rank is None else 1, n, field, budget)
-    return _shifted_unit_counts([canonical_rank_matrix(n, r, field) for r in ranks])
+    return _transfer_counts([canonical_rank_matrix(n, r, field) for r in ranks])
 
 
 def common_neighbors_by_rank(a, b) -> int:
@@ -304,9 +305,9 @@ def srg_decide(
     diag(I_r, 0): the degree for r = 0, lambda for r = n and mu for rank
     class r = 1..n-1, from rank_counts, which checks the arguments.
     method="formula" takes them from the closed form for every rank and
-    does no enumeration.  method="oracle" takes them from one full-space pass
-    over the n + 1 shifts, charged (n + 1) * q^(n^2) against the budget
-    before it starts.  Both check their degree against gl_order, which the
+    does no enumeration.  method="oracle" takes them from one column-span
+    transfer over the n + 1 shifts, charged (n + 1) * q^(n^2) against the
+    budget before it starts.  Both check their degree against gl_order, which the
     formula path meets by construction.  For n = 2 the parameters are
     checked against the paper's closed-form tuple on both paths; a mismatch
     raises RuntimeError.  Complete graphs (n = 1) are reported as not

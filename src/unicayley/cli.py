@@ -12,7 +12,8 @@ Each handler imports the modules its command runs when it runs, so a call
 loads no more of the package than its command uses: field-info only fields,
 a closed-form srg or census also census, an oracle or a pair query also
 matrices, graph-build matrices and graph, and verify census, matrices and
-verify.  Every per-rank count comes from census.rank_counts.
+verify.  It builds the field only after those imports (see _command_field).
+Every per-rank count comes from census.rank_counts.
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ def parse_field(text: str, *, max_order: int) -> FieldSpec:
         raise UsageError(str(exc)) from None
 
 
+def _command_field(args, budget: int) -> FieldSpec:
+    """The --field of a command whose modules are already imported.
+
+    Compiling a module takes memory that is freed once it is loaded, and a
+    call compiles each module it imports when no bytecode cache is written.
+    Field tables built after that reuse the freed memory; built before it,
+    they sit under it and raise the call's peak.
+    """
+    return parse_field(args.field, max_order=budget)
+
+
 def _resolve_budget(args) -> int:
     if args.budget is not None:
         if args.budget <= 0:
@@ -108,22 +120,24 @@ def _print_json(doc) -> None:
 # --- census -------------------------------------------------------------------
 
 
-def _census_records(args, n, field, budget):
-    """Build (records, agrees_by_rank, pair_info) for the census command."""
+def _census_records(args, n, budget):
+    """Build (field, records, agrees_by_rank, pair_info) for the census command."""
     from .census import CensusRecord, rank_counts
 
-    q = field.q
     method = args.method
+    pair = args.matrix_a is not None or args.matrix_b is not None
+    if pair or method != "formula":  # loaded before the field is built
+        from .matrices import common_neighbors_bruteforce, parse_matrix
+    field = _command_field(args, budget)
+    q = field.q
     if method != "oracle":
         _check_printable(n, q, "closed-form census")
     pair_info = None
-    if args.matrix_a is not None or args.matrix_b is not None:
+    if pair:
         if args.matrix_a is None or args.matrix_b is None:
             raise UsageError("pair queries need both --matrix-a and --matrix-b")
         if args.rank is not None:
             raise UsageError("--rank conflicts with a pair query; the rank is derived")
-        from .matrices import common_neighbors_bruteforce, parse_matrix
-
         try:
             a = parse_matrix(args.matrix_a, field)
             b = parse_matrix(args.matrix_b, field)
@@ -158,12 +172,12 @@ def _census_records(args, n, field, budget):
     if method == "both":
         agrees = {rank: f == o for rank, f, o
                   in zip(ranks, counts["formula"], counts["oracle"])}
-    return records, agrees, pair_info
+    return field, records, agrees, pair_info
 
 
-def _cmd_census(args, field, budget) -> int:
+def _cmd_census(args, budget) -> int:
     n = args.n
-    records, agrees, pair_info = _census_records(args, n, field, budget)
+    field, records, agrees, pair_info = _census_records(args, n, budget)
 
     if args.output == "json":
         doc = {
@@ -207,9 +221,10 @@ CHECK_NAMES = ("rank1-singularity", "rank1-count", "rank2-count", "recurrence",
                "rank-reduction", "all")
 
 
-def _cmd_verify(args, field, budget) -> int:
+def _cmd_verify(args, budget) -> int:
     from .verify import CHECKS
 
+    field = _command_field(args, budget)
     n = args.n
     if args.check == "all":
         names = [name for name in CHECKS if name != "rank2-count" or n >= 2]
@@ -252,9 +267,12 @@ def _cmd_verify(args, field, budget) -> int:
 SRG_METHODS = ("formula", "oracle")
 
 
-def _cmd_srg(args, field, budget) -> int:
+def _cmd_srg(args, budget) -> int:
     from .census import srg_decide
 
+    if args.method == "oracle":
+        from . import matrices  # the oracle's module, loaded before the field
+    field = _command_field(args, budget)
     if args.method == "formula":
         _check_printable(args.n, field.q, "closed-form srg")
     report = srg_decide(args.n, field, method=args.method, budget=budget)
@@ -277,9 +295,10 @@ def _cmd_srg(args, field, budget) -> int:
     return 0
 
 
-def _cmd_graph_build(args, field, budget) -> int:
+def _cmd_graph_build(args, budget) -> int:
     from .graph import explicit_graph_build
 
+    field = _command_field(args, budget)
     g = explicit_graph_build(args.n, field, budget=budget)
     result = g.pairwise_srg_test()
     if args.output == "json":
@@ -308,7 +327,8 @@ def _cmd_graph_build(args, field, budget) -> int:
     return 0
 
 
-def _cmd_field_info(args, field, budget) -> int:
+def _cmd_field_info(args, budget) -> int:
+    field = _command_field(args, budget)
     if args.output == "json":
         _print_json(
             {
@@ -390,8 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=SRG_METHODS, default="formula",
                    help="'formula' (the default) takes every count from the "
                         "closed forms, which cover every rank, with no scan; "
-                        "'oracle' takes them from one full-space pass over "
-                        "n + 1 shifts, bounded by --budget")
+                        "'oracle' counts them by enumeration, one "
+                        "column-span transfer over n + 1 shifts, bounded "
+                        "by --budget")
     p.set_defaults(func=_cmd_srg)
 
     p = subs.add_parser("graph-build", help="materialize a tiny graph and "
@@ -410,8 +431,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         budget = _resolve_budget(args)
-        field = parse_field(args.field, max_order=budget)
-        code = args.func(args, field, budget)
+        code = args.func(args, budget)
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()
         return code

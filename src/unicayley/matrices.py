@@ -4,14 +4,19 @@ Covers ring arithmetic, rank, determinant, the paper's singular-shift lemma,
 and canonical enumeration of the full matrix space by integer index (entry
 (0,0) is the least significant base-q digit).  One row reduction,
 _eliminate, gives every rank and every determinant above the closed forms
-for n <= 3.  scan_space is the one full-space loop.  Every enumeration
-oracle lives below it and counts what census computes in closed form, each
-in one pass charged up front: the shifted-intersection count, the
-common-neighbor count of a pair, and the rank-2 case split.
+for n <= 3, and, reduced, the canonical basis of a span.  Every
+enumeration oracle lives here and counts what census computes in closed
+form, each charged up front.  The shifted-intersection count and the
+common-neighbor count of a pair come from one column-span transfer,
+_transfer_counts, which decides every matrix by its columns' spans and
+never forms one.  scan_space is the one full-space loop, for the callers
+that need each matrix: the graph's unit set, the rank-1 singularity check
+and the rank-2 case split.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import compress, product
 
 from .errors import check_budget, check_rank
@@ -207,12 +212,16 @@ def _det_flat(e, n: int, field: FieldSpec) -> int:
     return det
 
 
-def _eliminate(rows: list[list[int]], field: FieldSpec) -> tuple[list[int], int]:
+def _eliminate(rows: list[list[int]], field: FieldSpec, *,
+               reduced: bool = False) -> tuple[list[int], int]:
     """Row-reduce a nonempty rectangular list-of-rows in place.
 
     Returns (pivots, swaps): the pivot entries in column order, so the rank
     is len(pivots), and the number of row exchanges made.  This is the one
-    elimination loop of the package, behind both rank and determinant.
+    elimination loop of the package, behind rank, determinant and span keys.
+    With reduced=True it goes on to the reduced row-echelon form: each pivot
+    row is scaled to a leading 1 and its pivot column cleared in every other
+    row, so two lists with the same row space end with the same nonzero rows.
     """
     m = len(rows)
     width = len(rows[0])
@@ -230,12 +239,19 @@ def _eliminate(rows: list[list[int]], field: FieldSpec) -> tuple[list[int], int]
             swaps += 1
         prow = rows[rank]
         pivots.append(prow[col])
-        if rank + 1 == m:
+        if reduced:
+            scale = mul[inv[prow[col]]]
+            prow[col:] = [scale[e] for e in prow[col:]]
+            ipv = 1
+            targets = [r for r in range(m) if r != rank]
+        elif rank + 1 == m:
             # no row left to eliminate: skip the pivot's inverse, a
             # square-and-multiply on fields too large for stored tables
             break
-        ipv = inv[prow[col]]
-        for r in range(rank + 1, m):
+        else:
+            ipv = inv[prow[col]]
+            targets = range(rank + 1, m)
+        for r in targets:
             lead = rows[r][col]
             if lead != 0:
                 mc = mul[mul[lead][ipv]]
@@ -353,46 +369,91 @@ def scan_space(n: int, field: FieldSpec, visit) -> None:
 
 def _charge_oracle_pass(shifts: int, n: int, field: FieldSpec,
                         budget: int | None) -> None:
-    """Charge one _shifted_unit_counts pass over shifts matrices of M_n(GF(q)).
+    """Charge one _transfer_counts call over shifts matrices of M_n(GF(q)).
 
-    The pass visits shifts * q^(n^2) matrix-shift pairs.  Call it before
-    building the shifts, so that a refused pass allocates nothing.
+    The charge is shifts * q^(n^2), the matrix-shift pairs of a full scan.
+    It bounds the transfer's work, at most sum_j min(q^(nj), [n, j]_q^2) * q^n
+    per shift.  Call it before building the shifts, so that a refused count
+    allocates nothing.
     """
     noun = "shift" if shifts == 1 else "shifts"
     check_budget([(shifts, field.q, n * n)], budget,
                  f"oracle pass over {shifts} {noun} in M_{n}({field!r})")
 
 
-def _shifted_unit_counts(shifts) -> list[int]:
-    """Count invertible N with N - d invertible for each shift d, in one pass.
+def _transfer_counts(shifts, sizes: list | None = None) -> list[int]:
+    """Count invertible M with M - d invertible for each shift d, by column spans.
 
     The shifts are matrices of one space M_n(GF(q)); the caller has charged
-    the pass with _charge_oracle_pass.  In a block of the scan, with
-    first row x and tail T, det(N) = x . C and det(N - d) = x . C' - d_0 . C',
-    where C' is the cofactor vector of T - d_tail and d_0 is d's first row.
-    So the block's table of x . C' (the scan's own when d_tail is zero)
-    decides N - d for every x, against its entry at x = d_0.  Shifts that
-    share a tail share that table.
+    them with _charge_oracle_pass.  M and M - d are both invertible iff,
+    column by column, m_j lies outside U = span(m_<j) and m_j - d_j outside
+    V = span(m_<j - d_<j).  So each count keeps a table from the state
+    (U, V) to the number of column prefixes that reach it, and extends every
+    state by every vector of GF(q)^n (as index codes, coordinate 0 least
+    significant).  Permuting the columns of M and d together changes
+    neither condition, so the columns with d_j = 0 go first, where U = V.
+    The last column is counted, not enumerated:
+    #{m : m not in U, m - d not in V} = q^n - 2 q^(n-1) + |U meet (V + d)|,
+    and that last term is q^(n-2) if U != V (two hyperplanes), q^(n-1) if
+    U = V contains d, and 0 if U = V does not.
+
+    A subspace is an id keyed by its reduced row-echelon basis from
+    _eliminate, so one span reached two ways is one state.  The list of a
+    subspace's extensions by every vector is built once and serves every
+    shift.  No rank class, Gaussian binomial or closed form enters, and d
+    may be any matrix.  With a list sizes, the number of states after each
+    of the first n - 1 columns is appended to it for each shift.
     """
     n, field = shifts[0].n, shifts[0].field
-    sub = field.sub_table
-    block_dets = _block_dets(n, field)
-    by_tail: dict[tuple, list] = {}
-    for i, d in enumerate(shifts):
-        by_tail.setdefault(d.entries[n:], []).append((i, d.index() % field.q ** n))
-    counts = [0] * len(shifts)
+    q, sub = field.q, field.sub_table
+    ids = {(): 0}
+    bases = [()]
+    extensions = {}
 
-    def visit(tail, dets):
-        for move, members in by_tail.items():
-            if any(move):
-                shifted = block_dets([sub[a][b] for a, b in zip(tail, move)])
-            else:
-                shifted = dets
-            kept = list(compress(shifted, dets))  # where N is invertible
-            for i, x0 in members:
-                counts[i] += len(kept) - kept.count(shifted[x0])
+    def span(u, v):
+        # the id of span(U, v) for the subspace U with id u; None if v is in U
+        rows = [*map(list, bases[u]), list(v)]
+        rank = len(_eliminate(rows, field, reduced=True)[0])
+        if rank == len(bases[u]):
+            return None
+        # from a list: tuple() of an iterator over-allocates and shrinks, and
+        # CPython then keeps up to 2000 of the freed tuples (~0.1 MB)
+        key = tuple([tuple(row) for row in rows[:rank]])
+        if key not in ids:
+            ids[key] = len(bases)
+            bases.append(key)
+        return ids[key]
 
-    scan_space(n, field, visit)
+    def extend(u):
+        if u not in extensions:
+            extensions[u] = [span(u, v) for v in _iter_flat(n, q)]
+        return extensions[u]
+
+    counts = []
+    for shift in shifts:
+        e = shift.entries
+        *columns, last = sorted((e[j::n] for j in range(n)), key=any)
+        states = {(0, 0): 1}
+        for d in columns:
+            # the code of m - d, for every m
+            moved = [sum(sub[a][b] * q ** i for i, (a, b) in enumerate(zip(m, d)))
+                     for m in _iter_flat(n, q)]
+            step = {}
+            for (u, v), ways in states.items():
+                ev = extend(v)
+                hits = Counter(zip(extend(u), map(ev.__getitem__, moved)))
+                for pair, times in hits.items():
+                    if None not in pair:
+                        step[pair] = step.get(pair, 0) + times * ways
+            states = step
+            if sizes is not None:
+                sizes.append(len(states))
+        total = 0
+        for (u, v), ways in states.items():
+            meet = (q ** (n - 2) if u != v
+                    else q ** (n - 1) if span(u, last) is None else 0)
+            total += ways * (q ** n - 2 * q ** (n - 1) + meet)
+        counts.append(total)
     return counts
 
 
@@ -410,7 +471,7 @@ def intersection_count_oracle(
     """
     check_rank(r, n)
     _charge_oracle_pass(1, n, field, budget)
-    return _shifted_unit_counts([canonical_rank_matrix(n, r, field)])[0]
+    return _transfer_counts([canonical_rank_matrix(n, r, field)])[0]
 
 
 def common_neighbors_bruteforce(
@@ -424,7 +485,7 @@ def common_neighbors_bruteforce(
     """
     shift = b - a
     _charge_oracle_pass(1, a.n, a.field, budget)
-    return _shifted_unit_counts([shift])[0]
+    return _transfer_counts([shift])[0]
 
 
 def rank2_case_decomposition_oracle(

@@ -5,8 +5,9 @@ form against the enumeration oracle, the recursion against the paper's
 forms, the singular-shift criterion against the determinant on every
 matrix, or the rank-class reduction against brute-force common neighbors.
 A check takes (n, field, seed, budget) and returns (passed, detail).
-Every scan goes through matrices.scan_space, looked up when it runs, so a
-wrapper installed there sees the scans of every check.
+Every shifted count goes through matrices._transfer_counts and every
+per-matrix scan through matrices.scan_space, both looked up when they run,
+so a wrapper installed on either sees that work in every check.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .census import (
 )
 from .matrices import (
     Matrix,
-    _shifted_unit_counts,
     index_to_matrix,
     intersection_count_oracle,
     matrix_space_size,
@@ -113,8 +113,8 @@ def _check_rank_reduction(n, field, seed, budget):
         if j >= i:
             j += 1
         pairs.append((index_to_matrix(i, n, field), index_to_matrix(j, n, field)))
-    # common_neighbors_bruteforce for every pair, in one pass over the shifts
-    brutes = _shifted_unit_counts([b - a for a, b in pairs])
+    # common_neighbors_bruteforce for every pair, in one call for all shifts
+    brutes = matrices._transfer_counts([b - a for a, b in pairs])
     for trial, ((a, b), brute) in enumerate(zip(pairs, brutes)):
         reduced = common_neighbors_by_rank(a, b)
         if brute != reduced:

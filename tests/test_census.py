@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from itertools import product
 
 import pytest
 
@@ -28,9 +29,9 @@ from unicayley import (
 )
 from unicayley import matrices
 from unicayley.census import SRG_METHODS, rank_counts, shifted_count_recursion
-from unicayley.matrices import _shifted_unit_counts
+from unicayley.matrices import _transfer_counts, common_neighbors_bruteforce
 
-from helpers import random_distinct_pair
+from helpers import random_distinct_pair, random_invertible
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -202,8 +203,8 @@ def test_fused_scan_equals_one_scan_per_shift(n, field):
     for _ in range(10):
         a, b = random_distinct_pair(rng, n, field)
         shifts.append(b - a)
-    fused = _shifted_unit_counts(shifts)
-    assert fused == [_shifted_unit_counts([d])[0] for d in shifts]
+    fused = _transfer_counts(shifts)
+    assert fused == [_transfer_counts([d])[0] for d in shifts]
     assert fused[:n + 1] == [intersection_count_formula(r, n, field.q)
                              for r in range(n + 1)]
     assert len(set(fused[:n + 1])) == n + 1
@@ -211,11 +212,24 @@ def test_fused_scan_equals_one_scan_per_shift(n, field):
             == rank_counts(n, field, None, "oracle") == fused[:n + 1])
 
 
+def per_matrix_counts(n, field, shifts):
+    """The reference: each matrix of the space decided on its own determinants."""
+    units = [m for m in enumerate_matrices(n, field) if m.is_invertible()]
+    return [sum((m - d).is_invertible() for m in units) for d in shifts]
+
+
+def random_of_rank(rng, n, field, r):
+    # P diag(I_r, 0) Q has rank r, and so covers every rank class
+    return (random_invertible(rng, n, field) @ canonical_rank_matrix(n, r, field)
+            @ random_invertible(rng, n, field))
+
+
 @pytest.mark.parametrize("n,field", [(1, make_field(3, 6)), (2, F3), (2, F4),
-                                     (3, F2)])
+                                     (3, F2), (3, F3)])
 def test_shifted_counts_equal_per_matrix_count(n, field):
     # the zero shift, a shift in row 0 alone, one off the diagonal in the
-    # tail alone, and random shifts, against each matrix decided on its own
+    # tail alone, random shifts, and two random shifts of every rank,
+    # against each matrix decided on its own
     q = field.q
     row0 = Matrix(n, [1] * n + [0] * (n * n - n), field)
     shifts = [zero_matrix(n, field), row0]
@@ -224,31 +238,70 @@ def test_shifted_counts_equal_per_matrix_count(n, field):
     rng = random.Random(13)
     shifts += [index_to_matrix(rng.randrange(q ** (n * n)), n, field)
                for _ in range(6)]
-    expected = [
-        sum(m.is_invertible() and (m - d).is_invertible()
-            for m in enumerate_matrices(n, field))
-        for d in shifts
-    ]
-    assert _shifted_unit_counts(shifts) == expected
+    shifts += [random_of_rank(rng, n, field, r)
+               for r in range(1, n + 1) for _ in range(2)]
+    assert [d.rank() for d in shifts[-2 * n:]] == [r for r in range(1, n + 1)
+                                                  for _ in range(2)]
+    assert _transfer_counts(shifts) == per_matrix_counts(n, field, shifts)
 
 
-def test_zero_shift_takes_no_second_determinant(monkeypatch):
-    # N - 0 = N, so only the scan's cofactors are taken: one vector of n
-    # minors per block of q^n matrices, none per unit
-    calls = []
-    det = matrices._det_flat
+@pytest.mark.parametrize("n,p,ranks", [(5, 2, range(6)), (4, 3, [1]),
+                                       (2, 47, range(3))])
+def test_transfer_equals_the_recursion_beyond_the_block_scan(n, p, ranks):
+    # spaces whose block scan takes seconds or more: n = 5 is checked by an
+    # oracle only here and in CI
+    field = make_field(p)
+    counts = _transfer_counts([canonical_rank_matrix(n, r, field) for r in ranks])
+    assert counts == [shifted_count_recursion(n, r, p) for r in ranks]
 
-    def counted(*args):
-        calls.append(1)
-        return det(*args)
 
-    monkeypatch.setattr(matrices, "_det_flat", counted)
-    assert _shifted_unit_counts([zero_matrix(2, F3)]) == [48]
-    assert len(calls) == 9 * 2
-    calls.clear()
-    # a shift with a nonzero tail takes a second cofactor vector per block
-    assert _shifted_unit_counts([identity_matrix(2, F3)]) == [27]
-    assert len(calls) == 9 * 2 * 2
+def distinct_span_pairs(n, field, shift, length):
+    """Distinct (span(m_<j), span(m_<j - d_<j)) over valid prefixes, by brute force.
+
+    A span is the frozenset of its vectors, canonical by construction.
+    """
+    vectors = list(product(range(field.q), repeat=n))
+    add, sub, mul = field.add_table, field.sub_table, field.mul_table
+
+    def extend(span, v):
+        return frozenset(tuple(add[a][mul[t][b]] for a, b in zip(u, v))
+                         for u in span for t in range(field.q))
+
+    columns = sorted((shift.entries[j::n] for j in range(n)), key=any)
+    states = {(frozenset([(0,) * n]),) * 2}
+    for d in columns[:length]:
+        states = {(extend(u, m), extend(v, w))
+                  for u, v in states for m in vectors
+                  for w in [tuple(sub[a][b] for a, b in zip(m, d))]
+                  if m not in u and w not in v}
+    return len(states)
+
+
+def test_transfer_keeps_one_state_per_span_pair():
+    # a key that is not canonical splits one span pair into several states,
+    # which a count shows only where U = V: pin the states per level
+    shifts = [canonical_rank_matrix(3, r, F3) for r in range(4)]
+    sizes = []
+    assert _transfer_counts(shifts, sizes) == [
+        intersection_count_formula(r, 3, 3) for r in range(4)]
+    assert sizes == [distinct_span_pairs(3, F3, d, j)
+                     for d in shifts for j in (1, 2)]
+    # zero columns first: one subspace per state until the first nonzero one
+    assert sizes == [13, 13, 13, 13, 13, 76, 25, 133]
+
+
+def test_oracle_counts_scan_nothing(monkeypatch):
+    # the transfer decides each matrix by its columns' spans: no block scan,
+    # no determinant
+    def refuse(*args):
+        raise AssertionError("an oracle count took a block or a determinant")
+
+    for name in ("scan_space", "_block_dets", "_det_flat"):
+        monkeypatch.setattr(matrices, name, refuse)
+    a, b = zero_matrix(3, F3), identity_matrix(3, F3)
+    assert intersection_count_oracle(1, 3, F3) == intersection_count_formula(1, 3, 3)
+    assert common_neighbors_bruteforce(a, b) == intersection_count_formula(3, 3, 3)
+    assert rank_counts(3, F4, None, "oracle") == rank_counts(3, F4, None, "formula")
 
 
 def test_intersection_oracle_full_rank_is_derangement_count():

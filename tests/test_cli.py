@@ -549,28 +549,37 @@ def test_oracle_refusals_count_their_shifts(capsys):
             f"error: oracle pass over {shifts} in M_2(GF(3)) requires ")
 
 
-def test_oracle_queries_make_one_pass(capsys, monkeypatch):
+def test_oracle_queries_make_one_transfer_call(capsys, monkeypatch):
+    # every shift of a query goes to one transfer call, which shares its
+    # span extensions between them, and no query takes a block scan
     calls = []
-    scan = matrices.scan_space
+    transfer = matrices._transfer_counts
 
-    def counting_scan(*args, **kwargs):
-        calls.append(args[:2])
-        return scan(*args, **kwargs)
+    def counting_transfer(shifts):
+        calls.append(len(shifts))
+        return transfer(shifts)
 
-    monkeypatch.setattr(matrices, "scan_space", counting_scan)
+    def no_scan(*args):
+        raise AssertionError("an oracle query took a block scan")
+
+    monkeypatch.setattr(matrices, "_transfer_counts", counting_transfer)
+    monkeypatch.setattr(matrices, "scan_space", no_scan)
     F2 = make_field(2)
     assert srg_decide(3, F2, method="oracle").mu_by_rank == {1: 72, 2: 56}
-    assert calls == [(3, F2)]
-    for argv in (
-        ["census", "--n", "3", "--field", "2", "--method", "oracle"],
-        ["census", "--n", "2", "--field", "3", "--matrix-a", "1,0;0,1",
-         "--matrix-b", "0,2;0,0", "--method", "oracle"],
-        ["verify", "--check", "rank-reduction", "--n", "2", "--field", "3"],
+    assert calls == [4]
+    for argv, shifts in (
+        (["census", "--n", "3", "--field", "2", "--method", "oracle"], 4),
+        (["census", "--n", "3", "--field", "2", "--rank", "2"], 1),
+        (["census", "--n", "2", "--field", "3", "--matrix-a", "1,0;0,1",
+          "--matrix-b", "0,2;0,0", "--method", "oracle"], 1),
+        (["srg", "--n", "2", "--field", "3", "--method", "oracle"], 3),
+        (["verify", "--check", "rank-reduction", "--n", "2", "--field", "3"], 50),
+        (["verify", "--check", "rank1-count", "--n", "3", "--field", "2"], 1),
     ):
         calls.clear()
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert len(calls) == 1, argv
+        assert calls == [shifts], argv
 
 
 def test_no_scan_starts_before_its_charge(capsys, monkeypatch):
@@ -741,6 +750,39 @@ def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
     # without them, and the checks without the explicit graph
     code, _, err = run_python("-c", LOADED_BY_MAIN, *argv)
     assert (code, err.split()) == (0, ["0", *sorted(loaded)])
+
+
+LOADED_BEFORE_TABLES = """
+import sys
+from unicayley import fields
+build = fields.FieldSpec._build_tables
+
+def build_after_listing(spec):
+    print(*sorted(m for m in sys.modules if m.startswith("unicayley")),
+          file=sys.stderr)
+    build(spec)
+
+fields.FieldSpec._build_tables = build_after_listing
+import unicayley.cli
+sys.exit(unicayley.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["verify", "--check", "all", "--n", "1", "--field", "2^8"],
+     ["unicayley.census", "unicayley.matrices", "unicayley.verify"]),
+    (["census", "--n", "1", "--field", "2^8"],
+     ["unicayley.census", "unicayley.matrices"]),
+    (["srg", "--n", "1", "--field", "2^8", "--method", "oracle"],
+     ["unicayley.census", "unicayley.matrices"]),
+    (["graph-build", "--n", "1", "--field", "2^8"],
+     ["unicayley.graph", "unicayley.matrices"]),
+])
+def test_a_command_loads_its_modules_before_the_field_tables(argv, loaded):
+    # compiling a module takes memory it frees again; GF(2^8)'s tables
+    # built after that reuse it, and built before it raise the call's peak
+    code, _, err = run_python("-c", LOADED_BEFORE_TABLES, *argv)
+    assert (code, err.split()) == (0, sorted(FRONT_END + loaded))
 
 
 def test_parser_choices_are_the_library_names():
