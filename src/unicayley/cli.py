@@ -12,7 +12,11 @@ Each handler imports the modules its command runs when it runs, so a call
 loads no more of the package than its command uses: field-info only fields,
 a closed-form srg or census also census, an oracle or a pair query also
 matrices, graph-build matrices and graph, and verify census, matrices and
-verify.  It builds the field only after those imports (see _command_field).
+verify.  It builds the field only after those imports: compiling a module
+takes memory that is freed once it is loaded, and a call compiles each
+module it imports when no bytecode cache is written.  Field tables built
+after that reuse the freed memory; built before it, they sit under it and
+raise the call's peak.
 Every per-rank count comes from census.rank_counts.
 """
 
@@ -61,17 +65,6 @@ def parse_field(text: str, *, max_order: int) -> FieldSpec:
         return make_field(p, k, max_order=max_order)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _command_field(args, budget: int) -> FieldSpec:
-    """The --field of a command whose modules are already imported.
-
-    Compiling a module takes memory that is freed once it is loaded, and a
-    call compiles each module it imports when no bytecode cache is written.
-    Field tables built after that reuse the freed memory; built before it,
-    they sit under it and raise the call's peak.
-    """
-    return parse_field(args.field, max_order=budget)
 
 
 def _resolve_budget(args) -> int:
@@ -128,7 +121,7 @@ def _census_records(args, n, budget):
     pair = args.matrix_a is not None or args.matrix_b is not None
     if pair or method != "formula":  # loaded before the field is built
         from .matrices import common_neighbors_bruteforce, parse_matrix
-    field = _command_field(args, budget)
+    field = parse_field(args.field, max_order=budget)
     q = field.q
     if method != "oracle":
         _check_printable(n, q, "closed-form census")
@@ -224,7 +217,7 @@ CHECK_NAMES = ("rank1-singularity", "rank1-count", "rank2-count", "recurrence",
 def _cmd_verify(args, budget) -> int:
     from .verify import CHECKS
 
-    field = _command_field(args, budget)
+    field = parse_field(args.field, max_order=budget)
     n = args.n
     if args.check == "all":
         names = [name for name in CHECKS if name != "rank2-count" or n >= 2]
@@ -272,7 +265,7 @@ def _cmd_srg(args, budget) -> int:
 
     if args.method == "oracle":
         from . import matrices  # the oracle's module, loaded before the field
-    field = _command_field(args, budget)
+    field = parse_field(args.field, max_order=budget)
     if args.method == "formula":
         _check_printable(args.n, field.q, "closed-form srg")
     report = srg_decide(args.n, field, method=args.method, budget=budget)
@@ -298,7 +291,7 @@ def _cmd_srg(args, budget) -> int:
 def _cmd_graph_build(args, budget) -> int:
     from .graph import explicit_graph_build
 
-    field = _command_field(args, budget)
+    field = parse_field(args.field, max_order=budget)
     g = explicit_graph_build(args.n, field, budget=budget)
     result = g.pairwise_srg_test()
     if args.output == "json":
@@ -328,7 +321,7 @@ def _cmd_graph_build(args, budget) -> int:
 
 
 def _cmd_field_info(args, budget) -> int:
-    field = _command_field(args, budget)
+    field = parse_field(args.field, max_order=budget)
     if args.output == "json":
         _print_json(
             {

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 
-# Default ceiling on the number of items any full-space enumeration may
-# touch.  Keeps desk-scale runs under minutes; override per call, or on the
+# Default ceiling on the work charged before a step runs: the matrices of a
+# full-space scan, the matrix-shift pairs that bound a column-span transfer,
+# the vertex pairs of an explicit graph build, or the order of a field to
+# build.  Keeps desk-scale runs under minutes; override per call, or on the
 # CLI with --budget or $UNICAYLEY_BUDGET.
 DEFAULT_BUDGET = 1 << 26
 

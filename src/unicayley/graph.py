@@ -19,14 +19,15 @@ column counters through a carry-save tree that parks one pending carry per
 bit plane (the Harley-Seal scheme of Mula, Kurz and Lemire, "Faster
 Population Counts Using AVX2 Instructions", 2018).
 
-The rows of A^2 are independent, so a large test cuts them into contiguous
-ranges, one per CPU the process may run on, and forks a child for every
-range but the first, which it scans itself.  Each child reports the lambda
-and mu its range saw, or that a count varied, as one ASCII message on a
-pipe; the verdict merges every range's.  A small test, or one on a single CPU or a platform
-without fork, scans every row in process.  Every child is reaped before the
-test returns or raises, and a child whose parent has gone stops at its next
-row.
+The test first checks rows 0, 1, ... in process until lambda and mu are
+both fixed; for an unlooped Cayley graph that is row 0 alone.  Every later
+row is then a yes/no check against those two counts, so a large test cuts
+the rest into contiguous ranges, one per CPU the process may run on, and
+forks a child for every range but the first, which it checks itself.  A
+child answers by its exit status alone.  A small test, or one on a single
+CPU or a platform without fork, checks every row in process.  Every child
+is reaped before the test returns or raises, and a child whose parent has
+gone stops at its next row.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ ROW_ADDITIONS_PER_WORKER = 1 << 16
 # bin() digits to the 0/1 bytes itertools.compress selects by
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
-# what a range of rows of A^2 reports when a class's count varies, and the
-# message a child writes then
-_VARY = "vary"
+# the exit status of a forked child: every row it checked matched, or one
+# did not (1 is left for a child that raised)
+_MATCH, _DIFFER = 0, 3
 
 
 def _column_sums(rows, width: int) -> list[int]:
@@ -98,18 +99,18 @@ def _column_sums(rows, width: int) -> list[int]:
     return planes
 
 
-def _pairwise_rows(adj: list[int], degree: int, flip: int, rows):
-    """Check the rows of A^2 that rows names; return (lambda, mu) or _VARY.
+def _pairwise_rows(adj: list[int], degree: int, flip: int, rows, found) -> bool:
+    """Check the rows of A^2 that rows names against found, [lambda, mu].
 
-    lambda (mu) is the one count that every neighbor (non-neighbor) class of
-    these rows reads, or None if every such class is empty; _VARY if a
-    class reads two counts, or two rows' classes of one kind disagree.  flip
-    is 0 to sum the rows of each row's neighbors, or all ones to sum those of
-    its non-neighbors instead (see pairwise_srg_test).
+    Every non-empty neighbor (non-neighbor) class of these rows must read
+    one count, found[0] (found[1]); a None there is set by the first row
+    that has such a class.  Return False at the first row whose class reads
+    two counts or another count, True if every row matched.  flip is 0 to
+    sum the rows of each row's neighbors, or all ones to sum those of its
+    non-neighbors instead (see pairwise_srg_test).
     """
     every = (1 << len(adj)) - 1
     width = (len(adj) - degree if flip else degree).bit_length()
-    found = [None, None]  # lambda, mu
     for i in rows:
         bits = adj[i]
         flags = bin(bits ^ flip)[:1:-1].encode().translate(_BIT_FLAGS)
@@ -125,13 +126,13 @@ def _pairwise_rows(adj: list[int], degree: int, flip: int, rows):
                 if plane == mask:
                     count += 1 << p
                 elif plane:
-                    return _VARY
+                    return False
             if flip:
                 count = degree - count
             if found[c] not in (None, count):
-                return _VARY
+                return False
             found[c] = count
-    return tuple(found)
+    return True
 
 
 def _while_parent_lives(rows, parent: int):
@@ -142,42 +143,21 @@ def _while_parent_lives(rows, parent: int):
         yield i
 
 
-def _decode(message: bytes):
-    """A child's message, "<lambda> <mu>" with - for None or "vary", parsed."""
-    if message == _VARY.encode():
-        return _VARY
-    words = message.split(b" ")
-    if len(words) != 2 or not all(w == b"-" or w.isdigit() for w in words):
-        raise RuntimeError(f"malformed message from a pairwise worker: {message!r}")
-    return tuple(None if w == b"-" else int(w) for w in words)
+def _fork_rows(adj: list[int], degree: int, flip: int, rows, found) -> int:
+    """Run _pairwise_rows on rows in a forked child; return its pid.
 
-
-def _fork_rows(adj: list[int], degree: int, flip: int, rows):
-    """Run _pairwise_rows on rows in a forked child; return (pid, pipe).
-
-    The child writes its result to the pipe as one ASCII message and leaves
-    by os._exit, 0 after the write and 1 if anything raised, so it runs no
-    exit hook and flushes none of the parent's buffers.
+    The child leaves by os._exit, with _MATCH or _DIFFER for what
+    _pairwise_rows returned and 1 if anything raised, so it runs no exit
+    hook and flushes none of the parent's buffers.
     """
     parent = os.getpid()
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
+    pid = os.fork()
     if pid:
-        os.close(write)
-        return pid, os.fdopen(read, "rb")
+        return pid
     code = 1
     try:
-        os.close(read)
-        found = _pairwise_rows(adj, degree, flip, _while_parent_lives(rows, parent))
-        if found != _VARY:
-            found = " ".join("-" if c is None else str(c) for c in found)
-        os.write(write, found.encode())
-        code = 0
+        rows = _while_parent_lives(rows, parent)
+        code = _MATCH if _pairwise_rows(adj, degree, flip, rows, found) else _DIFFER
     finally:
         os._exit(code)
 
@@ -190,54 +170,51 @@ def _worker_count(additions: int) -> int:
     return max(1, min(cpus, additions // ROW_ADDITIONS_PER_WORKER))
 
 
-def _split_rows(adj: list[int], degree: int, flip: int, workers: int):
-    """_pairwise_rows over every row, in workers contiguous ranges at once.
+def _split_rows(adj: list[int], degree: int, flip: int, workers: int, found) -> bool:
+    """_pairwise_rows over every row, the rows after the head in workers ranges.
 
-    The first range runs in process, each other one in a forked child, or
-    in process too if its fork fails; the results merge as pairwise_srg_test
-    says.  Every child is reaped before this returns or raises, killed first
-    unless its result was read.
+    The head, rows 0, 1, ..., runs in process until found holds no None.
+    The rows after it are cut into at most workers contiguous ranges: the
+    first runs in process, each other one in a forked child, or in process
+    too if its fork fails.  Once the head has found a row that differs, or
+    used up every row, nothing is forked.  Every child is reaped before this
+    returns or raises, killed first unless it has exited; a child that exits
+    with neither _MATCH nor _DIFFER raises RuntimeError.
     """
     order = len(adj)
-    cuts = [order * w // workers for w in range(workers + 1)]
-    ranges = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    start = 0
+    while start < order and None in found:
+        if not _pairwise_rows(adj, degree, flip, [start], found):
+            return False
+        start += 1
+    cuts = [start + (order - start) * w // workers for w in range(workers + 1)]
+    ranges = [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
     own = ranges[:1]
-    children = {}  # pid: the read end of its pipe, until the child is reaped
+    children = []  # pids not yet reaped, in range order
     try:
         for rows in ranges[1:]:
             try:
-                pid, pipe = _fork_rows(adj, degree, flip, rows)
+                children.append(_fork_rows(adj, degree, flip, rows, found))
             except OSError:
                 own.append(rows)
-            else:
-                children[pid] = pipe
-        seen = [_pairwise_rows(adj, degree, flip, chain.from_iterable(own))]
-        for pid, pipe in list(children.items()):
-            if _VARY in seen:
-                return _VARY
-            message = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            pipe.close()
-            if status:
-                raise RuntimeError(f"pairwise worker {pid} failed "
-                                   f"(exit code {os.waitstatus_to_exitcode(status)})")
-            seen.append(_decode(message))
+        if not _pairwise_rows(adj, degree, flip, chain.from_iterable(own), found):
+            return False
+        while children:
+            code = os.waitstatus_to_exitcode(os.waitpid(children[0], 0)[1])
+            pid = children.pop(0)
+            if code == _DIFFER:
+                return False
+            if code != _MATCH:
+                raise RuntimeError(f"pairwise worker {pid} failed (exit code {code})")
+        return True
     finally:
         if children:
             # only a test cut short gets here, so graph-build loads no signal
             from signal import SIGKILL
 
-            for pid, pipe in children.items():
+            for pid in children:
                 os.kill(pid, SIGKILL)
-                pipe.close()
                 os.waitpid(pid, 0)
-    if _VARY in seen:
-        return _VARY
-    merged = [{c for c in counts if c is not None} for counts in zip(*seen)]
-    if any(len(counts) > 1 for counts in merged):
-        return _VARY
-    return tuple(counts.pop() if counts else None for counts in merged)
 
 
 def adjacent(a: Matrix, b: Matrix) -> bool:
@@ -289,14 +266,14 @@ class CayleyGraph:
         ordered pair is checked.  The adjacency relation must be symmetric,
         as that of a Cayley graph is.
 
-        The rows are cut into W contiguous ranges, W the smaller of the CPUs
-        the process may run on and the row additions over
-        ROW_ADDITIONS_PER_WORKER (1 without os.fork or
-        os.sched_getaffinity).  Ranges 2..W run in forked children, range 1
-        in process; a count that varies in any range, or two ranges that saw
-        different lambdas or different mus, gives the varying verdict, so
-        the result is the same for every W.  Every child is reaped before
-        this returns; a failed child raises RuntimeError.
+        Rows 0, 1, ... are checked in process until lambda and mu are both
+        fixed; every later row is a yes/no check against them, so the
+        result is the same however those rows are shared out.  They are cut
+        into W contiguous ranges, W the smaller of the CPUs the process may
+        run on and the row additions over ROW_ADDITIONS_PER_WORKER (1
+        without os.fork or os.sched_getaffinity).  Ranges 2..W run in forked
+        children, range 1 in process.  Every child is reaped before this
+        returns; a failed child raises RuntimeError.
         """
         return _pairwise_srg_test(self.adjacency)
 
@@ -319,8 +296,8 @@ def _pairwise_srg_test(adj: list[int], workers: int | None = None) -> PairwiseSr
     flip = every if 2 * degree > order else 0
     if workers is None:
         workers = _worker_count(order * (order - degree if flip else degree))
-    found = _split_rows(adj, degree, flip, workers)
-    if found == _VARY or None in found:
+    found = [None, None]  # lambda, mu
+    if not _split_rows(adj, degree, flip, workers, found) or None in found:
         return PairwiseSrgResult(
             order, degree, None, None, False,
             note="common-neighbor counts vary within a class",

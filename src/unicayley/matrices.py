@@ -464,7 +464,7 @@ def intersection_count_oracle(
     *,
     budget: int | None = None,
 ) -> int:
-    """Count invertible M with M - diag(I_r, 0) invertible, by full enumeration.
+    """Count invertible M with M - diag(I_r, 0) invertible, by column spans.
 
     For r = 0 this degenerates to the invertible-matrix count; for r = n it is
     the linear-derangement count.  The rank is checked before the charge.
@@ -477,7 +477,7 @@ def intersection_count_oracle(
 def common_neighbors_bruteforce(
     a: Matrix, b: Matrix, *, budget: int | None = None
 ) -> int:
-    """Count vertices adjacent to both a and b by scanning the whole space.
+    """Count vertices adjacent to both a and b by column-span transfer.
 
     M is adjacent to both exactly when N = M - a and N - (b - a) are
     invertible, and N runs over the whole space as M does; no rank theory.

@@ -304,6 +304,27 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "-1" in out and "2" in out  # both sides of the disagreement
 
 
+@pytest.mark.parametrize("check, n, name, fake, detail", [
+    ("rank1-singularity", 2, "singular_shift_criterion",
+     lambda real: lambda m: real(m) != (m.to_literal() == "1,1;0,1"),
+     "1 of 16 matrices split the equivalence; first witness 1,1;0,1"),
+    ("rank2-count", 3, "rank2_case_formulas", lambda real: lambda n, q: (0, 0, 0),
+     "case split oracle (32, 0, 24) vs formulas (0, 0, 0), total 56"),
+    ("rank-reduction", 2, "common_neighbors_by_rank", lambda real: lambda a, b: -1,
+     "trial 0: pair (0,0;1,0, 0,1;0,1) brute 2 vs rank-class -1"),
+])
+def test_verify_checks_fail_with_their_detail(capsys, monkeypatch, check, n, name,
+                                              fake, detail):
+    # one side of each check's own comparison, made wrong, exits 1
+    monkeypatch.setattr(verify, name, fake(getattr(verify, name)))
+    code, out, _ = run_cli(
+        capsys, "verify", "--check", check, "--n", str(n), "--field", "2",
+        "--seed", "1",
+    )
+    assert code == 1
+    assert out == f"FAIL {check} (n={n}, q=2): {detail}\n"
+
+
 def test_verify_recurrence_checks_against_the_oracle(capsys, monkeypatch):
     # a wrong base case e_0 = 2 keeps every recurrence step consistent with
     # the one before it; only the enumeration oracle tells it apart

@@ -2,6 +2,7 @@
 
 import os
 import random
+import signal
 import time
 
 import pytest
@@ -13,6 +14,7 @@ from unicayley import (
     Matrix,
     adjacent,
     canonical_rank_matrix,
+    census,
     common_neighbors_bruteforce,
     common_neighbors_by_rank,
     derangements_formula,
@@ -225,6 +227,21 @@ def test_srg_formula_needs_no_budget():
     report = srg_decide(4, F2, budget=1)
     assert report.mu_by_rank == {1: 9408, 2: 7104, 3: 6208}
     assert report.witness.counts == (9408, 7104)
+
+
+@pytest.mark.parametrize("method", ["formula", "oracle"])
+def test_srg_decide_checks_its_degree_and_n2_parameters(monkeypatch, method):
+    rank_counts = census.rank_counts
+    monkeypatch.setattr(census, "rank_counts",
+                        lambda *args, **kw: [1] + rank_counts(*args, **kw)[1:])
+    with pytest.raises(RuntimeError,
+                       match=r"^degree count 1 disagrees with closed form 6$"):
+        srg_decide(2, F2, method=method)
+    monkeypatch.setattr(census, "rank_counts", rank_counts)
+    monkeypatch.setattr(census, "srg_parameters_n2", lambda q: (16, 6, 2, 3))
+    with pytest.raises(RuntimeError, match=r"^measured parameters \(16, 6, 2, 2\) "
+                       r"disagree with the closed-form tuple \(16, 6, 2, 3\)$"):
+        srg_decide(2, F2, method=method)
 
 
 def test_srg_decide_rejects_unknown_method():
@@ -450,6 +467,15 @@ def _cliques(size, count, loops=False):
     return _rows(size * count, lambda i, j: i // size == j // size and (loops or i != j))
 
 
+def _union(*graphs):
+    # disjoint union, each graph's vertices after those of the one before
+    rows, offset = [], 0
+    for adj in graphs:
+        rows += [bits << offset for bits in adj]
+        offset += len(adj)
+    return rows
+
+
 _RNG = random.Random(20190)
 PAIRWISE_FAMILIES = {
     "random": [_random_symmetric(_RNG, _RNG.randrange(1, 24), _RNG.random(), False)
@@ -464,6 +490,9 @@ PAIRWISE_FAMILIES = {
     "cliques": [_cliques(size, count, loops) for size in range(1, 6)
                 for count in range(1, 5) for loops in (False, True)],
     "edgeless": [[0] * order for order in range(8)],
+    # 3-regular, and every row reads one lambda: 3 in the looped K3, 2 in
+    # the K4; only comparing rows with each other tells it from an SRG
+    "lambda-by-row": [_union(_cliques(3, 1, loops=True), _cliques(4, 1))],
 }
 
 
@@ -524,15 +553,6 @@ def _cube(dim):
     return _rows(1 << dim, lambda i, j: (i ^ j).bit_count() == 1)
 
 
-def _union(*graphs):
-    # disjoint union, each graph's vertices after those of the one before
-    rows, offset = [], 0
-    for adj in graphs:
-        rows += [bits << offset for bits in adj]
-        offset += len(adj)
-    return rows
-
-
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("family", PAIRWISE_FAMILIES)
 def test_split_equals_pair_by_pair_reference(family, workers):
@@ -566,8 +586,9 @@ def test_split_reads_a_vary_from_a_child(workers):
     # four K4 then the 3-cube, all 3-regular: the rows of the cliques agree
     # on (2, 0), and only the cube's rows, the last third, vary
     adj = _union(*[_cliques(4, 1)] * 4, _cube(3))
-    assert graph._split_rows(adj, 3, 0, 1) == graph._VARY
-    assert graph._pairwise_rows(adj, 3, 0, range(16)) == (2, 0)
+    assert not graph._split_rows(adj, 3, 0, 1, [None, None])
+    found = [None, None]
+    assert graph._pairwise_rows(adj, 3, 0, range(16), found) and found == [2, 0]
     assert _pairwise_srg_test(adj, workers) == _pairwise_by_pairs(adj) == (
         VARY._replace(order=24, degree=3))
     _assert_no_child_left()
@@ -575,9 +596,9 @@ def test_split_reads_a_vary_from_a_child(workers):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_split_stops_at_a_vary_in_its_own_range(workers):
-    # the cube first: the parent's own range varies, and it kills and reaps
-    # its children without reading them
-    adj = _union(_cube(3), *[_cliques(4, 1)] * 4)
+    # a K4 first fixes (2, 0), then the cube: the parent's own range varies,
+    # and it kills and reaps its children without reading them
+    adj = _union(_cliques(4, 1), _cube(3), *[_cliques(4, 1)] * 3)
     assert _pairwise_srg_test(adj, workers) == VARY._replace(order=24, degree=3)
     _assert_no_child_left()
 
@@ -604,15 +625,53 @@ def test_split_keeps_a_range_whose_fork_fails(monkeypatch):
     _assert_no_child_left()
 
 
-def test_child_messages_parse_strictly():
-    assert graph._decode(b"vary") == graph._VARY
-    assert graph._decode(b"2 3") == (2, 3)
-    assert graph._decode(b"- 0") == (None, 0)
-    assert graph._decode(b"- -") == (None, None)
-    for message in (b"", b"2", b"2 3 4", b"2  3", b" 2 3", b"+2 3", b"2 x", b"VARY",
-                    "\u0662 3".encode()):
-        with pytest.raises(RuntimeError, match="malformed message"):
-            graph._decode(message)
+@pytest.mark.parametrize("workers, forked", [
+    (2, [range(6, 8)]),
+    (3, [range(6, 7), range(7, 8)]),
+])
+def test_split_fixes_lambda_and_mu_before_it_forks(monkeypatch, workers, forked):
+    # four looped vertices, then two K2: a loop's row has no neighbor class,
+    # so the head reads rows 0-4 before row 4 fixes lambda, and rows 5-7 are
+    # shared out with both counts known
+    adj = _union(_cliques(1, 4, loops=True), _cliques(2, 2))
+    seen = []
+    fork_rows = graph._fork_rows
+
+    def record(adj, degree, flip, rows, found):
+        seen.append((rows, list(found)))
+        return fork_rows(adj, degree, flip, rows, found)
+
+    monkeypatch.setattr(graph, "_fork_rows", record)
+    assert _pairwise_srg_test(adj, workers) == _pairwise_by_pairs(adj) == (
+        PairwiseSrgResult(8, 1, 0, 0, True))
+    assert seen == [(rows, [0, 0]) for rows in forked]
+    _assert_no_child_left()
+
+
+def test_split_raises_when_a_child_is_killed(monkeypatch):
+    def kill(rows, parent):
+        os.kill(os.getpid(), signal.SIGKILL)
+        yield
+
+    monkeypatch.setattr(graph, "_while_parent_lives", kill)
+    with pytest.raises(RuntimeError, match=r"pairwise worker \d+ failed \(exit code -9\)"):
+        _pairwise_srg_test(_paley(13), 2)
+    _assert_no_child_left()
+
+
+def test_split_forks_nothing_once_the_head_has_settled(monkeypatch):
+    # (3,2)'s row 0 already varies, and each row of the asymmetric pair
+    # (0 -> 1, 1 -> 1) fixes one count, so the head uses up every row.  An
+    # AssertionError is no OSError: no fork can fall back to running in
+    # process unseen
+    def fork():
+        raise AssertionError("forked")
+
+    adj = explicit_graph_build(3, F2).adjacency
+    monkeypatch.setattr(os, "fork", fork)
+    assert _pairwise_srg_test(adj, 2) == VARY._replace(order=512, degree=168)
+    assert _pairwise_srg_test([0b10, 0b10], 2) == PairwiseSrgResult(2, 1, 1, 0, True)
+    _assert_no_child_left()
 
 
 def test_a_child_stops_once_its_parent_has_gone():
