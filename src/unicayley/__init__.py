@@ -23,10 +23,10 @@ _HOMES = {
         "common_neighbors_by_rank",
         "derangements_formula",
         "gl_order",
-        "intersection_count_formula",
         "rank1_intersection_formula",
         "rank2_case_formulas",
         "rank2_intersection_formula",
+        "rank_counts",
         "srg_decide",
         "srg_parameters_n2",
     ),
@@ -45,7 +45,6 @@ _HOMES = {
         "enumerate_matrices",
         "identity_matrix",
         "index_to_matrix",
-        "intersection_count_oracle",
         "matrix_from_rows",
         "matrix_space_size",
         "parse_matrix",

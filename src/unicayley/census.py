@@ -6,11 +6,12 @@ matrices M such that M - diag(I_r, 0) is also invertible.  A Gaussian-binomial
 recursion gives it in closed form for every rank 0 <= r <= n, from the base
 cases r = 0 (the general linear group order) and r = n (linear
 derangements).  The paper's own forms for r = 1 and r = 2 are kept as
-independent checks of the recursion.  rank_counts takes the per-rank counts
-from the closed form or, importing matrices only then, from enumeration;
-srg_decide compares them rank by rank.  common_neighbors_by_rank is a pair
-query's closed form.  Every enumeration oracle lives in matrices, beside
-the scan, so a closed-form decision never loads the enumeration side.
+independent checks of the recursion.  rank_counts is the one checked way
+to a count c(n, r), for both methods: from the closed form or, importing
+matrices only then, from enumeration.  srg_decide compares its counts rank
+by rank, and common_neighbors_by_rank, a pair query's closed form, reads
+one.  Every enumeration oracle lives in matrices, beside the scan, so a
+closed-form decision never loads the enumeration side.
 """
 
 from __future__ import annotations
@@ -164,18 +165,6 @@ def shifted_count_recursion(n: int, r: int, q: int) -> int:
     return q ** (r * k) * _gl_tail(k, q, 0) * total
 
 
-def intersection_count_formula(r: int, n: int, q: int) -> int:
-    """Closed-form shifted-intersection count for every rank 0 <= r <= n.
-
-    Evaluates shifted_count_recursion, memoised per process; r = 0 and r = n
-    are its base cases gl_order and derangements_formula.  The paper's rank-1
-    and rank-2 forms are independent checks of it, not inputs.
-    """
-    _check_nq(n, q)
-    check_rank(r, n)
-    return shifted_count_recursion(n, r, q)
-
-
 SRG_METHODS = ("formula", "oracle")
 
 
@@ -183,9 +172,11 @@ def rank_counts(n: int, field: FieldSpec, rank: int | None, method: str, *,
                 budget: int | None = None) -> list[int]:
     """[c(n, rank)], or c(n, r) for every r = 0..n when rank is None.
 
-    Before any charge, a method outside SRG_METHODS, a bad (n, q) or a rank
-    outside [0, n] raises ValueError.  method="formula" evaluates
-    shifted_count_recursion for each rank.
+    The one checked way to c(n, r), for both methods; a single count is
+    rank_counts(n, field, r, method)[0].  Before any charge, a method
+    outside SRG_METHODS, a bad (n, q) or a rank outside [0, n] raises
+    ValueError.  method="formula" evaluates shifted_count_recursion for
+    each rank.
     method="oracle" charges shifts * q^(n^2) for the shifts diag(I_r, 0)
     against the budget, then builds them and counts them all in one
     column-span transfer (matrices._transfer_counts), with no rank theory;
@@ -209,11 +200,11 @@ def rank_counts(n: int, field: FieldSpec, rank: int | None, method: str, *,
 def common_neighbors_by_rank(a, b) -> int:
     """Common-neighbor count of two matrices via the rank-class reduction.
 
-    The closed-form shifted-intersection count for r = rank(a - b), whose
-    canonical representative is diag(I_r, 0); a == b gives rank 0, the
-    degree.  matrices.common_neighbors_bruteforce is its oracle.
+    The closed-form count c(n, r) from rank_counts for r = rank(a - b),
+    whose canonical representative is diag(I_r, 0); a == b gives rank 0,
+    the degree.  matrices.common_neighbors_bruteforce is its oracle.
     """
-    return intersection_count_formula((a - b).rank(), a.n, a.field.q)
+    return rank_counts(a.n, a.field, (a - b).rank(), "formula")[0]
 
 
 def srg_parameters_n2(q: int) -> tuple[int, int, int, int]:

@@ -457,23 +457,6 @@ def _transfer_counts(shifts, sizes: list | None = None) -> list[int]:
     return counts
 
 
-def intersection_count_oracle(
-    r: int,
-    n: int,
-    field: FieldSpec,
-    *,
-    budget: int | None = None,
-) -> int:
-    """Count invertible M with M - diag(I_r, 0) invertible, by column spans.
-
-    For r = 0 this degenerates to the invertible-matrix count; for r = n it is
-    the linear-derangement count.  The rank is checked before the charge.
-    """
-    check_rank(r, n)
-    _charge_oracle_pass(1, n, field, budget)
-    return _transfer_counts([canonical_rank_matrix(n, r, field)])[0]
-
-
 def common_neighbors_bruteforce(
     a: Matrix, b: Matrix, *, budget: int | None = None
 ) -> int:

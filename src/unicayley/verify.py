@@ -19,15 +19,14 @@ from . import matrices
 from .census import (
     common_neighbors_by_rank,
     derangements_formula,
-    intersection_count_formula,
     rank1_intersection_formula,
     rank2_case_formulas,
     rank2_intersection_formula,
+    rank_counts,
 )
 from .matrices import (
     Matrix,
     index_to_matrix,
-    intersection_count_oracle,
     matrix_space_size,
     rank2_case_decomposition_oracle,
     singular_shift_criterion,
@@ -62,9 +61,9 @@ def _check_rank1_singularity(n, field, seed, budget):
     return True, f"equivalence holds for all {total} matrices"
 
 
-def _recursion_note(r, n, q, paper):
+def _recursion_note(r, n, field, paper):
     """Compare the recursion with the paper's rank-r form: (agrees, note)."""
-    rec = intersection_count_formula(r, n, q)
+    rec = rank_counts(n, field, r, "formula")[0]
     if rec == paper:
         return True, "; recursion agrees"
     return False, f"; recursion gives {rec}"
@@ -72,15 +71,15 @@ def _recursion_note(r, n, q, paper):
 
 def _check_rank1_count(n, field, seed, budget):
     lhs = rank1_intersection_formula(n, field.q)
-    rhs = intersection_count_oracle(1, n, field, budget=budget)
-    rec_ok, note = _recursion_note(1, n, field.q, lhs)
+    rhs = rank_counts(n, field, 1, "oracle", budget=budget)[0]
+    rec_ok, note = _recursion_note(1, n, field, lhs)
     return lhs == rhs and rec_ok, f"formula {lhs} vs oracle {rhs}{note}"
 
 
 def _check_rank2_count(n, field, seed, budget):
     lhs = rank2_intersection_formula(n, field.q)
-    rhs = intersection_count_oracle(2, n, field, budget=budget)
-    rec_ok, note = _recursion_note(2, n, field.q, lhs)
+    rhs = rank_counts(n, field, 2, "oracle", budget=budget)[0]
+    rec_ok, note = _recursion_note(2, n, field, lhs)
     if lhs != rhs or not rec_ok:
         return False, f"formula {lhs} vs oracle {rhs}{note}"
     if n < 3:
@@ -97,7 +96,7 @@ def _check_rank2_count(n, field, seed, budget):
 def _check_recurrence(n, field, seed, budget):
     for i in range(1, n + 1):
         lhs = derangements_formula(i, field.q)
-        rhs = intersection_count_oracle(i, i, field, budget=budget)
+        rhs = rank_counts(i, field, i, "oracle", budget=budget)[0]
         if lhs != rhs:
             return False, f"step {i}: recurrence {lhs} vs oracle {rhs}"
     return True, f"recurrence steps 1..{n} hold"

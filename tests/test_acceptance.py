@@ -13,13 +13,13 @@ from unicayley import (
     explicit_graph_build,
     gl_order,
     index_to_matrix,
-    intersection_count_oracle,
     make_field,
     matrix_space_size,
     rank1_intersection_formula,
     rank2_case_decomposition_oracle,
     rank2_case_formulas,
     rank2_intersection_formula,
+    rank_counts,
     srg_decide,
     zero_matrix,
     identity_matrix,
@@ -80,7 +80,7 @@ def test_criterion_3_rank1_count_formula_vs_oracle():
     ok = True
     for n, q in cases:
         formula = rank1_intersection_formula(n, q)
-        oracle = intersection_count_oracle(1, n, field_of(q))
+        oracle = rank_counts(n, field_of(q), 1, "oracle")[0]
         ok = ok and formula == oracle
     assert report(3, "rank-1 shift count, formula == oracle", ok,
                   f"{len(cases)} cases")
@@ -91,12 +91,12 @@ def test_criterion_4_rank2_count_and_case_split():
     ok = True
     for n, q in cases:
         formula = rank2_intersection_formula(n, q)
-        oracle = intersection_count_oracle(2, n, field_of(q))
+        oracle = rank_counts(n, field_of(q), 2, "oracle")[0]
         ok = ok and formula == oracle
     for q in (2, 3):
         split = rank2_case_decomposition_oracle(3, field_of(q))
         expected = rank2_case_formulas(3, q)
-        total = intersection_count_oracle(2, 3, field_of(q))
+        total = rank_counts(3, field_of(q), 2, "oracle")[0]
         ok = ok and split == expected and sum(split) == total
     assert report(4, "rank-2 shift count and its case split", ok,
                   f"{len(cases)} totals, 2 case splits")
@@ -107,9 +107,9 @@ def test_criterion_5_derangement_recurrence_vs_oracle():
     cases += [(n, q) for n in (1, 2) for q in (4, 5)]
     ok = True
     for n, q in cases:
-        ok = ok and derangements_formula(n, q) == intersection_count_oracle(
-            n, n, field_of(q)
-        )
+        ok = ok and derangements_formula(n, q) == rank_counts(
+            n, field_of(q), n, "oracle"
+        )[0]
     assert report(5, "derangement recurrence with base case 1", ok,
                   f"{len(cases)} cases")
 
@@ -119,7 +119,7 @@ def test_criterion_6_rank_class_law():
     for q in (2, 3):
         field = field_of(q)
         size = matrix_space_size(2, field)
-        expected = {r: intersection_count_oracle(r, 2, field) for r in (1, 2)}
+        expected = {r: rank_counts(2, field, r, "oracle")[0] for r in (1, 2)}
         for i in range(size):
             a = index_to_matrix(i, 2, field)
             for j in range(size):
@@ -131,7 +131,7 @@ def test_criterion_6_rank_class_law():
                     ok = False
     field = field_of(2)
     size = matrix_space_size(3, field)
-    expected = {r: intersection_count_oracle(r, 3, field) for r in (1, 2, 3)}
+    expected = {r: rank_counts(3, field, r, "oracle")[0] for r in (1, 2, 3)}
     rng = random.Random(173)
     for _ in range(1000):
         i = rng.randrange(size)
@@ -168,7 +168,7 @@ def test_criterion_8_degree_and_adjacent_pair_count():
     ok = True
     for n, q in ((2, 2), (2, 3), (3, 2)):
         field = field_of(q)
-        ok = ok and intersection_count_oracle(0, n, field) == gl_order(n, q)
+        ok = ok and rank_counts(n, field, 0, "oracle")[0] == gl_order(n, q)
         pair_count = common_neighbors_bruteforce(
             zero_matrix(n, field), identity_matrix(n, field)
         )

@@ -17,8 +17,6 @@ from unicayley import (
     gl_order,
     identity_matrix,
     index_to_matrix,
-    intersection_count_formula,
-    intersection_count_oracle,
     make_field,
     rank1_intersection_formula,
     rank2_case_decomposition_oracle,
@@ -49,9 +47,9 @@ def test_gl_order_examples():
 
 def test_gl_order_matches_enumeration():
     # the rank-0 shift degenerates to a plain invertibility census
-    assert intersection_count_oracle(0, 2, F2) == 6
-    assert intersection_count_oracle(0, 2, F3) == 48
-    assert intersection_count_oracle(0, 2, F4) == gl_order(2, 4)
+    assert rank_counts(2, F2, 0, "oracle")[0] == 6
+    assert rank_counts(2, F3, 0, "oracle")[0] == 48
+    assert rank_counts(2, F4, 0, "oracle")[0] == gl_order(2, 4)
 
 
 def test_gl_order_rejects_bad_arguments():
@@ -78,7 +76,7 @@ def test_derangements_formula_base_cases():
     [(1, F2), (1, F3), (2, F2), (2, F3), (2, F4), (3, F2)],
 )
 def test_derangements_formula_matches_oracle(n, field):
-    assert derangements_formula(n, field.q) == intersection_count_oracle(n, n, field)
+    assert derangements_formula(n, field.q) == rank_counts(n, field, n, "oracle")[0]
 
 
 def test_derangements_formula_rejects_negative_n():
@@ -96,9 +94,7 @@ def test_rank1_formula_examples():
 
 @pytest.mark.parametrize("n,field", [(1, F3), (2, F2), (2, F3), (3, F2)])
 def test_rank1_formula_matches_oracle(n, field):
-    assert rank1_intersection_formula(n, field.q) == intersection_count_oracle(
-        1, n, field
-    )
+    assert rank1_intersection_formula(n, field.q) == rank_counts(n, field, 1, "oracle")[0]
 
 
 def test_rank2_formula_examples():
@@ -116,9 +112,7 @@ def test_rank2_collapses_to_derangements_at_n2():
 
 @pytest.mark.parametrize("n,field", [(2, F2), (2, F3), (3, F2), (3, F3)])
 def test_rank2_formula_matches_oracle(n, field):
-    assert rank2_intersection_formula(n, field.q) == intersection_count_oracle(
-        2, n, field
-    )
+    assert rank2_intersection_formula(n, field.q) == rank_counts(n, field, 2, "oracle")[0]
 
 
 def test_case_formulas_example():
@@ -131,7 +125,7 @@ def test_case_formulas_example():
 def test_case_decomposition_matches_formulas_and_total(field):
     cases = rank2_case_decomposition_oracle(3, field)
     assert cases == rank2_case_formulas(3, field.q)
-    assert sum(cases) == intersection_count_oracle(2, 3, field)
+    assert sum(cases) == rank_counts(3, field, 2, "oracle")[0]
 
 
 def test_case_decomposition_rejects_small_n():
@@ -140,23 +134,20 @@ def test_case_decomposition_rejects_small_n():
 
 
 def test_intersection_formula_dispatch():
-    assert intersection_count_formula(0, 3, 2) == gl_order(3, 2)
-    assert intersection_count_formula(3, 3, 2) == derangements_formula(3, 2)
-    assert intersection_count_formula(1, 3, 2) == 72
-    assert intersection_count_formula(2, 3, 2) == 56
-    assert intersection_count_formula(3, 4, 2) == 6208  # the oracle's count
+    assert rank_counts(3, F2, 0, "formula")[0] == gl_order(3, 2)
+    assert rank_counts(3, F2, 3, "formula")[0] == derangements_formula(3, 2)
+    assert rank_counts(3, F2, 1, "formula")[0] == 72
+    assert rank_counts(3, F2, 2, "formula")[0] == 56
+    assert rank_counts(4, F2, 3, "formula")[0] == 6208  # the oracle's count
     with pytest.raises(ValueError):
-        intersection_count_formula(5, 4, 2)
-    with pytest.raises(ValueError):
-        intersection_count_formula(1, 3, 6)
+        rank_counts(4, F2, 5, "formula")
 
 
 @pytest.mark.parametrize("n,field", [(2, F2), (2, F3), (2, F4), (3, F2), (3, F3)])
 def test_intersection_formula_matches_oracle_every_rank(n, field):
     for r in range(n + 1):
-        assert intersection_count_formula(r, n, field.q) == intersection_count_oracle(
-            r, n, field
-        )
+        assert (rank_counts(n, field, r, "formula")[0]
+                == rank_counts(n, field, r, "oracle")[0])
 
 
 def test_recursion_polynomial_identities():
@@ -189,9 +180,8 @@ def test_recursion_polynomial_identities():
 def test_oracle_matches_formula_above_table_limit(p, k, r):
     # above TABLE_LIMIT the scan computes every lookup instead of reading it
     field = make_field(p, k)
-    assert intersection_count_oracle(r, 1, field) == (
-        intersection_count_formula(r, 1, field.q)
-    )
+    assert (rank_counts(1, field, r, "oracle")
+            == rank_counts(1, field, r, "formula"))
 
 
 @pytest.mark.parametrize("n,field", [(2, F3), (3, F2)])
@@ -205,7 +195,7 @@ def test_fused_scan_equals_one_scan_per_shift(n, field):
         shifts.append(b - a)
     fused = _transfer_counts(shifts)
     assert fused == [_transfer_counts([d])[0] for d in shifts]
-    assert fused[:n + 1] == [intersection_count_formula(r, n, field.q)
+    assert fused[:n + 1] == [rank_counts(n, field, r, "formula")[0]
                              for r in range(n + 1)]
     assert len(set(fused[:n + 1])) == n + 1
     assert (rank_counts(n, field, None, "formula")
@@ -283,7 +273,7 @@ def test_transfer_keeps_one_state_per_span_pair():
     shifts = [canonical_rank_matrix(3, r, F3) for r in range(4)]
     sizes = []
     assert _transfer_counts(shifts, sizes) == [
-        intersection_count_formula(r, 3, 3) for r in range(4)]
+        rank_counts(3, F3, r, "formula")[0] for r in range(4)]
     assert sizes == [distinct_span_pairs(3, F3, d, j)
                      for d in shifts for j in (1, 2)]
     # zero columns first: one subspace per state until the first nonzero one
@@ -299,13 +289,13 @@ def test_oracle_counts_scan_nothing(monkeypatch):
     for name in ("scan_space", "_block_dets", "_det_flat"):
         monkeypatch.setattr(matrices, name, refuse)
     a, b = zero_matrix(3, F3), identity_matrix(3, F3)
-    assert intersection_count_oracle(1, 3, F3) == intersection_count_formula(1, 3, 3)
-    assert common_neighbors_bruteforce(a, b) == intersection_count_formula(3, 3, 3)
+    assert rank_counts(3, F3, 1, "oracle")[0] == rank_counts(3, F3, 1, "formula")[0]
+    assert common_neighbors_bruteforce(a, b) == rank_counts(3, F3, 3, "formula")[0]
     assert rank_counts(3, F4, None, "oracle") == rank_counts(3, F4, None, "formula")
 
 
 def test_intersection_oracle_full_rank_is_derangement_count():
-    assert intersection_count_oracle(2, 2, F3) == derangements_formula(2, 3)
+    assert rank_counts(2, F3, 2, "oracle")[0] == derangements_formula(2, 3)
 
 
 def test_derangement_oracle_agrees_with_matrix_predicate():
@@ -315,32 +305,32 @@ def test_derangement_oracle_agrees_with_matrix_predicate():
         ident = identity_matrix(2, field)
         count = sum(m.is_invertible() and (m - ident).is_invertible()
                     for m in enumerate_matrices(2, field))
-        assert count == intersection_count_oracle(2, 2, field)
+        assert count == rank_counts(2, field, 2, "oracle")[0]
         assert count == derangements_formula(2, field.q)
 
 
 @pytest.mark.parametrize("q,field_args", [(5, (5,)), (7, (7,)), (8, (2, 3)), (9, (3, 2))])
 def test_wider_field_sweep_n2(q, field_args):
     field = make_field(*field_args)
-    assert rank1_intersection_formula(2, q) == intersection_count_oracle(1, 2, field)
-    assert derangements_formula(2, q) == intersection_count_oracle(2, 2, field)
-    assert gl_order(2, q) == intersection_count_oracle(0, 2, field)
+    assert rank1_intersection_formula(2, q) == rank_counts(2, field, 1, "oracle")[0]
+    assert derangements_formula(2, q) == rank_counts(2, field, 2, "oracle")[0]
+    assert gl_order(2, q) == rank_counts(2, field, 0, "oracle")[0]
 
 
 def test_intersection_oracle_rejects_bad_rank():
     with pytest.raises(ValueError):
-        intersection_count_oracle(3, 2, F2)
+        rank_counts(2, F2, 3, "oracle")
     # the rank is checked before the charge, which budget 1 would refuse
     with pytest.raises(ValueError, match=re.escape("rank must lie in [0, 2], got 3")):
-        intersection_count_oracle(3, 2, F2, budget=1)
+        rank_counts(2, F2, 3, "oracle", budget=1)
 
 
 def test_srg_parameters_examples():
     assert srg_parameters_n2(2) == (16, 6, 2, 2)
     # oracle arbitration of the q = 3 tuple: lambda is the derangement count,
     # mu the rank-1 intersection count
-    assert srg_parameters_n2(3) == (81, 48, intersection_count_oracle(2, 2, F3),
-                                    intersection_count_oracle(1, 2, F3))
+    assert srg_parameters_n2(3) == (81, 48, rank_counts(2, F3, 2, "oracle")[0],
+                                    rank_counts(2, F3, 1, "oracle")[0])
     assert srg_parameters_n2(3) == (81, 48, 27, 30)
 
 
@@ -375,10 +365,10 @@ def test_counts_are_exact_big_integers():
 
 def test_oracle_budget_refusal():
     with pytest.raises(BudgetExceededError) as err:
-        intersection_count_oracle(2, 2, F3, budget=10)
+        rank_counts(2, F3, 2, "oracle", budget=10)
     assert err.value.required == 81
     with pytest.raises(BudgetExceededError):
-        intersection_count_oracle(1, 3, F3, budget=100)
+        rank_counts(3, F3, 1, "oracle", budget=100)
 
 
 @pytest.mark.parametrize("rank,method", [

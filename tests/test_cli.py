@@ -20,7 +20,6 @@ from unicayley import (
     explicit_graph_build,
     graph,
     identity_matrix,
-    intersection_count_oracle,
     make_field,
     matrices,
     rank2_case_decomposition_oracle,
@@ -214,6 +213,12 @@ def test_census_bad_matrix_literal(capsys):
         "--matrix-a", "1,0;0", "--matrix-b", "0,0;0,0",
     )
     assert code == 2
+    # well-formed literals of the wrong side
+    code, out, err = run_cli(
+        capsys, "census", "--n", "3", "--field", "3",
+        "--matrix-a", "1,0;0,1", "--matrix-b", "0,0;0,0",
+    )
+    assert (code, out, err) == (2, "", "error: matrix literals must be 3x3\n")
 
 
 def test_bad_field_designation(capsys):
@@ -289,6 +294,11 @@ def test_verify_all_skips_rank2_at_n1(capsys):
     )
     assert code == 0
     assert "rank2-count" not in {c["check"] for c in json.loads(out)["checks"]}
+    # asked for by name, it is a usage error
+    code, out, err = run_cli(
+        capsys, "verify", "--check", "rank2-count", "--n", "1", "--field", "2",
+    )
+    assert (code, out, err) == (2, "", "error: the rank-2 count needs n >= 2\n")
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -345,7 +355,7 @@ def test_verify_recurrence_checks_against_the_oracle(capsys, monkeypatch):
 @pytest.mark.parametrize("check", ["rank1-count", "rank2-count"])
 def test_verify_checks_the_recursion_against_the_paper(capsys, monkeypatch, check):
     monkeypatch.setattr(
-        "unicayley.verify.intersection_count_formula", lambda r, n, q: -7
+        "unicayley.census.shifted_count_recursion", lambda n, r, q: -7
     )
     code, out, _ = run_cli(
         capsys, "verify", "--check", check, "--n", "3", "--field", "2",
@@ -549,7 +559,6 @@ def test_oracle_refusals_count_their_shifts(capsys):
     F3 = make_field(3)
     a, b = zero_matrix(2, F3), identity_matrix(2, F3)
     for run, shifts in (
-        (lambda: intersection_count_oracle(1, 2, F3, budget=80), "1 shift"),
         (lambda: common_neighbors_bruteforce(a, b, budget=80), "1 shift"),
         (lambda: srg_decide(2, F3, method="oracle", budget=80), "3 shifts"),
         (lambda: census.rank_counts(2, F3, None, "oracle", budget=80),
@@ -615,7 +624,7 @@ def test_no_scan_starts_before_its_charge(capsys, monkeypatch):
     F2 = make_field(2)
     a, b = zero_matrix(3, F2), identity_matrix(3, F2)
     for run in (
-        lambda: intersection_count_oracle(1, 3, F2, budget=2),
+        lambda: census.rank_counts(3, F2, 1, "oracle", budget=2),
         lambda: common_neighbors_bruteforce(a, b, budget=2),
         lambda: rank2_case_decomposition_oracle(3, F2, budget=2),
         lambda: enumerate_matrices(3, F2, budget=2),
@@ -666,6 +675,9 @@ def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("UNICAYLEY_BUDGET", "bogus")
     code, _, _ = run_cli(capsys, "census", "--n", "2", "--field", "2")
     assert code == 2
+    monkeypatch.setenv("UNICAYLEY_BUDGET", "0")
+    code, out, err = run_cli(capsys, "census", "--n", "2", "--field", "2")
+    assert (code, out, err) == (2, "", "error: UNICAYLEY_BUDGET must be positive\n")
 
 
 def test_json_outputs_are_byte_identical_across_runs_and_threads(capsys):

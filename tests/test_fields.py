@@ -1,6 +1,7 @@
 """Field construction, arithmetic axioms, and the deterministic modulus choice."""
 
 import ast
+import re
 import time
 from itertools import product
 from pathlib import Path
@@ -200,6 +201,10 @@ def test_is_irreducible_examples():
         is_irreducible([1, 2], 3)
     with pytest.raises(ValueError, match="degree"):
         is_irreducible([1], 2)
+    with pytest.raises(ValueError, match="characteristic must be prime, got 4"):
+        is_irreducible([1, 1], 4)
+    with pytest.raises(ValueError, match=re.escape("coefficients must lie in [0, 2)")):
+        is_irreducible([1, 2], 2)
 
 
 def test_element_range_checked():

@@ -24,9 +24,9 @@ from unicayley import (
     graph,
     identity_matrix,
     index_to_matrix,
-    intersection_count_oracle,
     make_field,
     matrix_space_size,
+    rank_counts,
     srg_decide,
     zero_matrix,
 )
@@ -120,7 +120,7 @@ def test_common_neighbors_by_rank_examples():
 
 def test_rank_class_law_exhaustive_gf2():
     size = matrix_space_size(2, F2)
-    expected = {r: intersection_count_oracle(r, 2, F2) for r in (1, 2)}
+    expected = {r: rank_counts(2, F2, r, "oracle")[0] for r in (1, 2)}
     for i in range(size):
         a = index_to_matrix(i, 2, F2)
         for j in range(size):
@@ -133,7 +133,7 @@ def test_rank_class_law_exhaustive_gf2():
 
 def test_rank_class_law_sampled_gf3_n3():
     rng = random.Random(77)
-    expected = {r: intersection_count_oracle(r, 3, F2) for r in (1, 2, 3)}
+    expected = {r: rank_counts(3, F2, r, "oracle")[0] for r in (1, 2, 3)}
     for _ in range(40):
         a, b = random_distinct_pair(rng, 3, F2)
         r = (a - b).rank()
@@ -567,15 +567,16 @@ def test_split_equals_pair_by_pair_reference(family, workers):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_split_merges_ranges_that_saw_one_class_each(workers):
-    # two K2 and four vertices with only a loop: a loop's row has no
-    # neighbor class, so the last range sees mu alone
+def test_rows_with_one_class_match_the_head(workers):
+    # two K2 and four vertices with only a loop: row 0 fixes lambda and mu,
+    # and a loop's row, which has no neighbor class, is checked on mu alone
     adj = _union(_cliques(2, 2), _cliques(1, 4, loops=True))
     assert _pairwise_srg_test(adj, workers) == _pairwise_by_pairs(adj) == (
         PairwiseSrgResult(8, 1, 0, 0, True))
     # no symmetric graph has a row with only a neighbor class beside one
     # with only a non-neighbor class; these asymmetric rows (0 -> 1, 1 -> 1)
-    # do, and every split must merge lambda from one range, mu from another
+    # do, so the head takes lambda from row 0 and mu from row 1, and with
+    # no row left it forks nothing
     assert _pairwise_srg_test([0b10, 0b10], workers) == _pairwise_srg_test(
         [0b10, 0b10], 1) == PairwiseSrgResult(2, 1, 1, 0, True)
     _assert_no_child_left()
