@@ -20,7 +20,6 @@ _HOMES = {
         "CensusRecord",
         "SrgReport",
         "SrgWitness",
-        "common_neighbors_by_rank",
         "derangements_formula",
         "gl_order",
         "rank1_intersection_formula",
@@ -32,25 +31,17 @@ _HOMES = {
     ),
     "errors": ("BudgetExceededError", "DEFAULT_BUDGET"),
     "fields": ("FieldSpec", "is_irreducible", "make_field"),
-    "graph": (
-        "CayleyGraph",
-        "PairwiseSrgResult",
-        "adjacent",
-        "explicit_graph_build",
-    ),
+    "graph": ("CayleyGraph", "PairwiseSrgResult", "explicit_graph_build"),
     "matrices": (
         "Matrix",
         "canonical_rank_matrix",
         "common_neighbors_bruteforce",
         "enumerate_matrices",
-        "identity_matrix",
         "index_to_matrix",
-        "matrix_from_rows",
         "matrix_space_size",
         "parse_matrix",
         "rank2_case_decomposition_oracle",
         "singular_shift_criterion",
-        "zero_matrix",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -9,9 +9,9 @@ derangements).  The paper's own forms for r = 1 and r = 2 are kept as
 independent checks of the recursion.  rank_counts is the one checked way
 to a count c(n, r), for both methods: from the closed form or, importing
 matrices only then, from enumeration.  srg_decide compares its counts rank
-by rank, and common_neighbors_by_rank, a pair query's closed form, reads
-one.  Every enumeration oracle lives in matrices, beside the scan, so a
-closed-form decision never loads the enumeration side.
+by rank, and a pair's closed-form common-neighbor count is the one at
+r = rank(A - B).  Every enumeration oracle lives in matrices, beside the
+scan, so a closed-form decision never loads the enumeration side.
 """
 
 from __future__ import annotations
@@ -195,16 +195,6 @@ def rank_counts(n: int, field: FieldSpec, rank: int | None, method: str, *,
 
     _charge_oracle_pass(n + 1 if rank is None else 1, n, field, budget)
     return _transfer_counts([canonical_rank_matrix(n, r, field) for r in ranks])
-
-
-def common_neighbors_by_rank(a, b) -> int:
-    """Common-neighbor count of two matrices via the rank-class reduction.
-
-    The closed-form count c(n, r) from rank_counts for r = rank(a - b),
-    whose canonical representative is diag(I_r, 0); a == b gives rank 0,
-    the degree.  matrices.common_neighbors_bruteforce is its oracle.
-    """
-    return rank_counts(a.n, a.field, (a - b).rank(), "formula")[0]
 
 
 def srg_parameters_n2(q: int) -> tuple[int, int, int, int]:

@@ -290,10 +290,6 @@ class FieldSpec:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
         return self.inv_table[a]
 
-    def elements(self):
-        """All element codes in ascending order, starting at 0."""
-        return iter(range(self.q))
-
     def __eq__(self, other):
         if not isinstance(other, FieldSpec):
             return NotImplemented

@@ -4,9 +4,10 @@ Vertices are all n x n matrices; two are adjacent when their difference is
 invertible.  The graph is vertex-transitive and the number of common
 neighbors of two distinct vertices depends only on rank(A - B);
 census.srg_decide decides strong regularity from those per-rank counts.
-This module holds only the edge relation and the explicit graph that
-checks that decision without rank theory; the pair queries live beside the
-code they compute with, census (closed form) and matrices (enumeration).
+This module holds only the explicit graph that checks that decision
+without rank theory; the edge relation is (a - b).is_invertible(), and
+the pair queries live beside the code they compute with, census (closed
+form) and matrices (enumeration).
 
 explicit_graph_build materializes the adjacency relation for tiny spaces: one
 scan finds the invertible set, the neighbors of the zero vertex, and every
@@ -38,7 +39,7 @@ from typing import NamedTuple
 
 from .errors import check_budget
 from .fields import FieldSpec
-from .matrices import Matrix, matrix_space_size, scan_space
+from .matrices import matrix_space_size, scan_space
 
 # explicit_graph_build stores one bit per vertex pair; 2^16 vertices is the
 # 512 MB point and the hard cap.
@@ -217,11 +218,6 @@ def _split_rows(adj: list[int], degree: int, flip: int, workers: int, found) -> 
                 os.waitpid(pid, 0)
 
 
-def adjacent(a: Matrix, b: Matrix) -> bool:
-    """True iff a - b is invertible; symmetric, never true on the diagonal."""
-    return (a - b).is_invertible()
-
-
 class PairwiseSrgResult(NamedTuple):
     """From-scratch verdict obtained by examining every vertex pair."""
 
@@ -241,9 +237,6 @@ class CayleyGraph:
         self.field = field
         self.order = len(adjacency)
         self.adjacency = adjacency
-
-    def is_edge(self, i: int, j: int) -> bool:
-        return (self.adjacency[i] >> j) & 1 == 1
 
     def degree(self, i: int) -> int:
         return self.adjacency[i].bit_count()

@@ -57,9 +57,6 @@ class Matrix:
         if self.field != other.field:
             raise ValueError(f"field mismatch: {self.field!r} vs {other.field!r}")
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.n + j]
-
     # Arithmetic indexes the field's lookup tables directly: every entry was
     # validated when its matrix was built.
 
@@ -143,14 +140,6 @@ class Matrix:
 # --- constructors -------------------------------------------------------------
 
 
-def zero_matrix(n: int, field: FieldSpec) -> Matrix:
-    return Matrix._wrap(n, (0,) * (n * n), field)
-
-
-def identity_matrix(n: int, field: FieldSpec) -> Matrix:
-    return canonical_rank_matrix(n, n, field)
-
-
 def canonical_rank_matrix(n: int, r: int, field: FieldSpec) -> Matrix:
     """diag(I_r, 0): the canonical representative of rank r."""
     check_rank(r, n)
@@ -158,14 +147,6 @@ def canonical_rank_matrix(n: int, r: int, field: FieldSpec) -> Matrix:
     for i in range(r):
         flat[i * (n + 1)] = 1
     return Matrix._wrap(n, tuple(flat), field)
-
-
-def matrix_from_rows(rows, field: FieldSpec) -> Matrix:
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("rows must form a square matrix")
-    return Matrix(n, [e for r in rows for e in r], field)
 
 
 def parse_matrix(text: str, field: FieldSpec) -> Matrix:
@@ -177,7 +158,10 @@ def parse_matrix(text: str, field: FieldSpec) -> Matrix:
         ]
     except ValueError:
         raise ValueError(f"malformed matrix literal {text!r}") from None
-    return matrix_from_rows(rows, field)
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("rows must form a square matrix")
+    return Matrix(n, [e for r in rows for e in r], field)
 
 
 # --- elimination kernels ------------------------------------------------------

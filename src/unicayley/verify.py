@@ -17,7 +17,6 @@ from itertools import product
 
 from . import matrices
 from .census import (
-    common_neighbors_by_rank,
     derangements_formula,
     rank1_intersection_formula,
     rank2_case_formulas,
@@ -115,7 +114,7 @@ def _check_rank_reduction(n, field, seed, budget):
     # common_neighbors_bruteforce for every pair, in one call for all shifts
     brutes = matrices._transfer_counts([b - a for a, b in pairs])
     for trial, ((a, b), brute) in enumerate(zip(pairs, brutes)):
-        reduced = common_neighbors_by_rank(a, b)
+        reduced = rank_counts(n, field, (a - b).rank(), "formula")[0]
         if brute != reduced:
             return False, (
                 f"trial {trial}: pair ({a.to_literal()}, {b.to_literal()}) "

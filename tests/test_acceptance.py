@@ -8,6 +8,7 @@ reports itself.
 import random
 
 from unicayley import (
+    canonical_rank_matrix,
     common_neighbors_bruteforce,
     derangements_formula,
     explicit_graph_build,
@@ -21,8 +22,6 @@ from unicayley import (
     rank2_intersection_formula,
     rank_counts,
     srg_decide,
-    zero_matrix,
-    identity_matrix,
 )
 from unicayley.cli import main
 
@@ -170,7 +169,7 @@ def test_criterion_8_degree_and_adjacent_pair_count():
         field = field_of(q)
         ok = ok and rank_counts(n, field, 0, "oracle")[0] == gl_order(n, q)
         pair_count = common_neighbors_bruteforce(
-            zero_matrix(n, field), identity_matrix(n, field)
+            canonical_rank_matrix(n, 0, field), canonical_rank_matrix(n, n, field)
         )
         ok = ok and pair_count == derangements_formula(n, q)
     assert report(8, "degree and adjacent-pair common-neighbor counts", ok)

@@ -15,7 +15,6 @@ from unicayley import (
     derangements_formula,
     enumerate_matrices,
     gl_order,
-    identity_matrix,
     index_to_matrix,
     make_field,
     rank1_intersection_formula,
@@ -23,7 +22,6 @@ from unicayley import (
     rank2_case_formulas,
     rank2_intersection_formula,
     srg_parameters_n2,
-    zero_matrix,
 )
 from unicayley import matrices
 from unicayley.census import SRG_METHODS, rank_counts, shifted_count_recursion
@@ -185,7 +183,7 @@ def test_oracle_matches_formula_above_table_limit(p, k, r):
 
 
 @pytest.mark.parametrize("n,field", [(2, F3), (3, F2)])
-def test_fused_scan_equals_one_scan_per_shift(n, field):
+def test_one_transfer_call_equals_one_call_per_shift(n, field):
     # ranks 0..n have distinct counts, so a shift that leaks into the next
     # one's count shows up
     rng = random.Random(31)
@@ -222,7 +220,7 @@ def test_shifted_counts_equal_per_matrix_count(n, field):
     # against each matrix decided on its own
     q = field.q
     row0 = Matrix(n, [1] * n + [0] * (n * n - n), field)
-    shifts = [zero_matrix(n, field), row0]
+    shifts = [canonical_rank_matrix(n, 0, field), row0]
     if n > 1:
         shifts.append(Matrix(n, [0] * n + [1] + [0] * (n * n - n - 1), field))
     rng = random.Random(13)
@@ -288,7 +286,7 @@ def test_oracle_counts_scan_nothing(monkeypatch):
 
     for name in ("scan_space", "_block_dets", "_det_flat"):
         monkeypatch.setattr(matrices, name, refuse)
-    a, b = zero_matrix(3, F3), identity_matrix(3, F3)
+    a, b = canonical_rank_matrix(3, 0, F3), canonical_rank_matrix(3, 3, F3)
     assert rank_counts(3, F3, 1, "oracle")[0] == rank_counts(3, F3, 1, "formula")[0]
     assert common_neighbors_bruteforce(a, b) == rank_counts(3, F3, 3, "formula")[0]
     assert rank_counts(3, F4, None, "oracle") == rank_counts(3, F4, None, "formula")
@@ -302,7 +300,7 @@ def test_derangement_oracle_agrees_with_matrix_predicate():
     from unicayley import enumerate_matrices
 
     for field in (F2, F3):
-        ident = identity_matrix(2, field)
+        ident = canonical_rank_matrix(2, 2, field)
         count = sum(m.is_invertible() and (m - ident).is_invertible()
                     for m in enumerate_matrices(2, field))
         assert count == rank_counts(2, field, 2, "oracle")[0]

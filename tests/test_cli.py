@@ -13,19 +13,18 @@ from hypothesis import given, settings, strategies as st
 
 from unicayley import (
     BudgetExceededError,
+    canonical_rank_matrix,
     census,
     cli,
     common_neighbors_bruteforce,
     enumerate_matrices,
     explicit_graph_build,
     graph,
-    identity_matrix,
     make_field,
     matrices,
     rank2_case_decomposition_oracle,
     srg_decide,
     verify,
-    zero_matrix,
 )
 from unicayley.cli import CHECK_NAMES, main
 from helpers import popen_module, run_module, run_python
@@ -320,7 +319,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
      "1 of 16 matrices split the equivalence; first witness 1,1;0,1"),
     ("rank2-count", 3, "rank2_case_formulas", lambda real: lambda n, q: (0, 0, 0),
      "case split oracle (32, 0, 24) vs formulas (0, 0, 0), total 56"),
-    ("rank-reduction", 2, "common_neighbors_by_rank", lambda real: lambda a, b: -1,
+    ("rank-reduction", 2, "rank_counts", lambda real: lambda n, field, r, method: [-1],
      "trial 0: pair (0,0;1,0, 0,1;0,1) brute 2 vs rank-class -1"),
 ])
 def test_verify_checks_fail_with_their_detail(capsys, monkeypatch, check, n, name,
@@ -557,7 +556,7 @@ def test_oracle_refusals_count_their_shifts(capsys):
     # every oracle entry point words its charge the same way, singular for
     # one; 80 admits GF(3) but not one pass over its 81 matrices
     F3 = make_field(3)
-    a, b = zero_matrix(2, F3), identity_matrix(2, F3)
+    a, b = canonical_rank_matrix(2, 0, F3), canonical_rank_matrix(2, 2, F3)
     for run, shifts in (
         (lambda: common_neighbors_bruteforce(a, b, budget=80), "1 shift"),
         (lambda: srg_decide(2, F3, method="oracle", budget=80), "3 shifts"),
@@ -622,7 +621,7 @@ def test_no_scan_starts_before_its_charge(capsys, monkeypatch):
     for module in (matrices, graph):
         monkeypatch.setattr(module, "scan_space", no_scan)
     F2 = make_field(2)
-    a, b = zero_matrix(3, F2), identity_matrix(3, F2)
+    a, b = canonical_rank_matrix(3, 0, F2), canonical_rank_matrix(3, 3, F2)
     for run in (
         lambda: census.rank_counts(3, F2, 1, "oracle", budget=2),
         lambda: common_neighbors_bruteforce(a, b, budget=2),
@@ -680,7 +679,7 @@ def test_budget_env_var(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: UNICAYLEY_BUDGET must be positive\n")
 
 
-def test_json_outputs_are_byte_identical_across_runs_and_threads(capsys):
+def test_json_outputs_are_byte_identical_across_runs(capsys):
     def output_of(*argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0

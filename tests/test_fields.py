@@ -123,7 +123,7 @@ def test_inv_examples():
     f4 = make_field(2, 2)
     assert f4.inv(2) == 3
     # independent route: exhaustive search for the inverse
-    assert next(b for b in f4.elements() if f4.mul(2, b) == 1) == 3
+    assert next(b for b in range(f4.q) if f4.mul(2, b) == 1) == 3
 
 
 def test_inv_of_zero_raises():
@@ -131,16 +131,10 @@ def test_inv_of_zero_raises():
         make_field(5).inv(0)
 
 
-def test_elements_ascending():
-    assert list(make_field(2).elements()) == [0, 1]
-    assert list(make_field(3).elements()) == [0, 1, 2]
-    assert list(make_field(2, 2).elements()) == [0, 1, 2, 3]
-
-
 @pytest.mark.parametrize("p,k", SMALL_ORDERS)
 def test_field_axioms_exhaustive(p, k):
     f = make_field(p, k)
-    elems = list(f.elements())
+    elems = range(f.q)
     assert len(elems) == p ** k
     for a in elems:
         assert f.add(0, a) == a
@@ -162,10 +156,8 @@ def test_field_axioms_exhaustive(p, k):
 @pytest.mark.parametrize("p,k", SMALL_ORDERS)
 def test_unique_inverses(p, k):
     f = make_field(p, k)
-    for a in f.elements():
-        if a == 0:
-            continue
-        inverses = [b for b in f.elements() if f.mul(a, b) == 1]
+    for a in range(1, f.q):
+        inverses = [b for b in range(f.q) if f.mul(a, b) == 1]
         assert inverses == [f.inv(a)]
 
 

@@ -12,23 +12,19 @@ from unicayley import (
     CensusRecord,
     DEFAULT_BUDGET,
     Matrix,
-    adjacent,
     canonical_rank_matrix,
     census,
     common_neighbors_bruteforce,
-    common_neighbors_by_rank,
     derangements_formula,
     enumerate_matrices,
     explicit_graph_build,
     gl_order,
     graph,
-    identity_matrix,
     index_to_matrix,
     make_field,
     matrix_space_size,
     rank_counts,
     srg_decide,
-    zero_matrix,
 )
 from unicayley.census import SrgWitness
 from unicayley.graph import CayleyGraph, PairwiseSrgResult, _column_sums, _pairwise_srg_test
@@ -40,28 +36,23 @@ F3 = make_field(3)
 
 
 def test_adjacent_examples():
-    ident = identity_matrix(2, F2)
-    zero = zero_matrix(2, F2)
-    assert not adjacent(ident, ident)
-    assert adjacent(ident, zero)
-    assert not adjacent(canonical_rank_matrix(2, 1, F2), zero)
+    ident = canonical_rank_matrix(2, 2, F2)
+    zero = canonical_rank_matrix(2, 0, F2)
+    assert not (ident - ident).is_invertible()
+    assert (ident - zero).is_invertible()
+    assert not (canonical_rank_matrix(2, 1, F2) - zero).is_invertible()
 
 
 def test_adjacent_is_symmetric_exhaustive():
     ms = [index_to_matrix(i, 2, F2) for i in range(16)]
     for a in ms:
         for b in ms:
-            assert adjacent(a, b) == adjacent(b, a)
-
-
-def test_adjacent_rejects_mismatch():
-    with pytest.raises(ValueError):
-        adjacent(identity_matrix(2, F2), identity_matrix(2, F3))
+            assert (a - b).is_invertible() == (b - a).is_invertible()
 
 
 @pytest.mark.parametrize("a,b,message", [
-    (zero_matrix(2, F2), zero_matrix(3, F2), "dimension mismatch"),
-    (zero_matrix(2, F2), zero_matrix(2, F3), "field mismatch"),
+    (Matrix(2, [0] * 4, F2), Matrix(3, [0] * 9, F2), "dimension mismatch"),
+    (Matrix(2, [0] * 4, F2), Matrix(2, [0] * 4, F3), "field mismatch"),
 ])
 def test_bruteforce_rejects_a_mismatch_before_its_charge(a, b, message):
     # budget 1 refuses every pass, so a charge first would raise
@@ -76,7 +67,7 @@ def test_translation_invariance_random():
         a = random_matrix(rng, 2, F3)
         b = random_matrix(rng, 2, F3)
         c = random_matrix(rng, 2, F3)
-        assert adjacent(a, b) == adjacent(a + c, b + c)
+        assert (a - b).is_invertible() == ((a + c) - (b + c)).is_invertible()
 
 
 def test_two_sided_invertible_invariance_random():
@@ -86,12 +77,12 @@ def test_two_sided_invertible_invariance_random():
         b = random_matrix(rng, 2, F3)
         p = random_invertible(rng, 2, F3)
         q = random_invertible(rng, 2, F3)
-        assert adjacent(a, b) == adjacent(p @ a @ q, p @ b @ q)
+        assert (a - b).is_invertible() == (p @ a @ q - p @ b @ q).is_invertible()
 
 
 def test_common_neighbors_examples():
-    zero = zero_matrix(2, F2)
-    ident = identity_matrix(2, F2)
+    zero = canonical_rank_matrix(2, 0, F2)
+    ident = canonical_rank_matrix(2, 2, F2)
     e11 = canonical_rank_matrix(2, 1, F2)
     assert common_neighbors_bruteforce(zero, ident) == 2
     assert common_neighbors_bruteforce(zero, e11) == 2
@@ -108,14 +99,15 @@ def test_common_neighbors_above_table_limit(p, k):
 
 
 def test_common_neighbors_by_rank_examples():
-    zero = zero_matrix(3, F2)
-    assert common_neighbors_by_rank(canonical_rank_matrix(3, 1, F2), zero) == 72
-    assert common_neighbors_by_rank(canonical_rank_matrix(3, 2, F2), zero) == 56
-    assert common_neighbors_by_rank(identity_matrix(3, F2), zero) == (
-        derangements_formula(3, 2)
-    )
+    def by_rank(a, b):
+        return rank_counts(3, F2, (a - b).rank(), "formula")[0]
+
+    zero = canonical_rank_matrix(3, 0, F2)
+    assert by_rank(canonical_rank_matrix(3, 1, F2), zero) == 72
+    assert by_rank(canonical_rank_matrix(3, 2, F2), zero) == 56
+    assert by_rank(canonical_rank_matrix(3, 3, F2), zero) == derangements_formula(3, 2)
     brute = common_neighbors_bruteforce(zero, zero)
-    assert common_neighbors_by_rank(zero, zero) == brute == gl_order(3, 2)
+    assert by_rank(zero, zero) == brute == gl_order(3, 2)
 
 
 def test_rank_class_law_exhaustive_gf2():
@@ -267,7 +259,7 @@ def test_explicit_build_gf2():
         for j in range(16):
             a = index_to_matrix(i, 2, F2)
             b = index_to_matrix(j, 2, F2)
-            assert g.is_edge(i, j) == (i != j and (a - b).is_invertible())
+            assert g.adjacency[i] >> j & 1 == (i != j and (a - b).is_invertible())
 
 
 def test_explicit_build_triangle():

@@ -16,14 +16,11 @@ from unicayley import (
     Matrix,
     canonical_rank_matrix,
     enumerate_matrices,
-    identity_matrix,
     index_to_matrix,
-    matrix_from_rows,
     matrix_space_size,
     make_field,
     parse_matrix,
     singular_shift_criterion,
-    zero_matrix,
 )
 from unicayley.matrices import _det_flat, _eliminate, scan_space
 from helpers import random_invertible, random_matrix, run_python
@@ -50,9 +47,9 @@ def draw_matrix(data, n, field):
 
 def test_parse_and_literal_round_trip():
     m = parse_matrix("1,0;0,1", F2)
-    assert m == identity_matrix(2, F2)
+    assert m == canonical_rank_matrix(2, 2, F2)
     assert m.to_literal() == "1,0;0,1"
-    assert parse_matrix("1,2;2,1", F3).entry(0, 1) == 2
+    assert parse_matrix("1,2;2,1", F3).entries[1] == 2  # entry (0, 1)
 
 
 def test_parse_rejects_garbage():
@@ -66,37 +63,38 @@ def test_parse_rejects_garbage():
 
 def test_self_difference_is_zero():
     m = parse_matrix("1,2;0,1", F3)
-    assert m - m == zero_matrix(2, F3)
+    assert m - m == canonical_rank_matrix(2, 0, F3)
 
 
 def test_identity_is_neutral():
     m = parse_matrix("1,2;2,0", F3)
-    assert identity_matrix(2, F3) @ m == m
-    assert m @ identity_matrix(2, F3) == m
+    ident = canonical_rank_matrix(2, 2, F3)
+    assert ident @ m == m
+    assert m @ ident == m
 
 
 def test_product_example_char2():
     m = parse_matrix("1,1;0,1", F2)
-    assert m @ m == identity_matrix(2, F2)
+    assert m @ m == canonical_rank_matrix(2, 2, F2)
 
 
 def test_mismatch_errors():
     with pytest.raises(ValueError, match="field"):
-        identity_matrix(2, F2) + identity_matrix(2, F3)
+        canonical_rank_matrix(2, 2, F2) + canonical_rank_matrix(2, 2, F3)
     with pytest.raises(ValueError, match="dimension"):
-        identity_matrix(2, F2) + identity_matrix(3, F2)
+        canonical_rank_matrix(2, 2, F2) + canonical_rank_matrix(3, 3, F2)
 
 
 def test_determinant_examples():
-    assert identity_matrix(3, F3).determinant() == 1
+    assert canonical_rank_matrix(3, 3, F3).determinant() == 1
     assert parse_matrix("1,2;1,2", F3).determinant() == 0
     # 1*1 - 2*2 = -3 = 0 in GF(3)
     assert parse_matrix("1,2;2,1", F3).determinant() == 0
 
 
 def test_rank_examples():
-    assert zero_matrix(3, F2).rank() == 0
-    assert identity_matrix(4, F3).rank() == 4
+    assert canonical_rank_matrix(3, 0, F2).rank() == 0
+    assert canonical_rank_matrix(4, 4, F3).rank() == 4
     assert canonical_rank_matrix(3, 2, F2).rank() == 2
 
 
@@ -139,12 +137,12 @@ def test_rank_invariant_under_invertible_factors(n, field):
 
 def test_singular_shift_criterion_examples():
     # first column -v1, rest the matching unit columns: the zero-combination case
-    m = matrix_from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]], F3)
+    m = parse_matrix("2,0,0;0,1,0;0,0,1", F3)
     assert singular_shift_criterion(m)
     # identity: true exactly in characteristic 2
-    assert singular_shift_criterion(identity_matrix(2, F2))
-    assert not singular_shift_criterion(identity_matrix(2, F3))
-    assert not singular_shift_criterion(zero_matrix(2, F3))
+    assert singular_shift_criterion(canonical_rank_matrix(2, 2, F2))
+    assert not singular_shift_criterion(canonical_rank_matrix(2, 2, F3))
+    assert not singular_shift_criterion(canonical_rank_matrix(2, 0, F3))
 
 
 @pytest.mark.parametrize("n,field", [(1, F2), (1, F3), (2, F2), (2, F3), (3, F2), (3, F3)])
@@ -160,10 +158,10 @@ def test_enumeration_examples():
     assert [m.entries for m in ms] == [(0,), (1,)]
     ms = list(enumerate_matrices(2, F2))
     assert len(ms) == 16
-    assert ms[0] == zero_matrix(2, F2)
+    assert ms[0] == Matrix(2, [0, 0, 0, 0], F2)
     assert matrix_space_size(2, F3) == 81
     # index 9 = binary 1001, least significant digit is entry (0,0)
-    assert index_to_matrix(9, 2, F2) == identity_matrix(2, F2)
+    assert index_to_matrix(9, 2, F2) == parse_matrix("1,0;0,1", F2)
 
 
 def test_index_round_trip():
@@ -181,18 +179,20 @@ def test_enumeration_errors():
 
 
 def test_canonical_rank_matrix():
-    assert canonical_rank_matrix(3, 0, F2) == zero_matrix(3, F2)
-    assert canonical_rank_matrix(3, 3, F2) == identity_matrix(3, F2)
+    assert canonical_rank_matrix(3, 0, F2) == Matrix(3, [0] * 9, F2)
+    assert canonical_rank_matrix(3, 3, F2) == parse_matrix("1,0,0;0,1,0;0,0,1", F2)
     assert canonical_rank_matrix(3, 2, F2).to_literal() == "1,0,0;0,1,0;0,0,0"
     with pytest.raises(ValueError):
         canonical_rank_matrix(2, 3, F2)
 
 
 def test_matrix_validation():
+    # ragged rows, the second with n * n entries in all
+    for text in ("0,1;1", "0,1,1;1"):
+        with pytest.raises(ValueError, match="rows must form a square matrix"):
+            parse_matrix(text, F2)
     with pytest.raises(ValueError):
-        matrix_from_rows([[0, 1], [1]], F2)
-    with pytest.raises(ValueError):
-        matrix_from_rows([[0, 2], [1, 0]], F2)
+        parse_matrix("0,2;1,0", F2)
 
 
 def test_det_flat_matches_generic_elimination():
@@ -201,13 +201,11 @@ def test_det_flat_matches_generic_elimination():
     for n, field in [(2, F3), (3, F4), (3, F5)]:
         for _ in range(50):
             m = random_matrix(rng, n, field)
-            padded = identity_matrix(n + 1, field)
-            rows = [
-                [m.entry(i, j) if i < n and j < n else padded.entry(i, j)
-                 for j in range(n + 1)]
-                for i in range(n + 1)
-            ]
-            big = matrix_from_rows(rows, field)
+            # m bordered by the last row and column of the identity
+            big = Matrix(n + 1, [
+                m.entries[i * n + j] if i < n and j < n else int(i == j)
+                for i in range(n + 1) for j in range(n + 1)
+            ], field)
             assert big.determinant() == m.determinant()
 
 
@@ -231,7 +229,7 @@ def test_rank_properties(field, n, data):
     thin = Matrix(n, [e if i % n < k else 0 for i, e in enumerate(a.entries)], field)
     m = thin @ b
     rank = m.rank()
-    transpose = Matrix(n, [m.entry(j, i) for i in range(n) for j in range(n)], field)
+    transpose = Matrix(n, [m.entries[j * n + i] for i in range(n) for j in range(n)], field)
     assert rank <= k
     assert transpose.rank() == rank
     assert (rank == n) == (m.determinant() != 0)
@@ -339,6 +337,22 @@ def test_every_public_name_is_its_home_modules_definition():
         assert len(found) == 1 and found != ["__init__"], (name, found)
         home = importlib.import_module(f"unicayley.{found[0]}")
         assert getattr(unicayley, name) is getattr(home, name), name
+
+
+def test_public_names_are_pinned():
+    # one spelling per operation: a second name for an existing one, or any
+    # new export, must be added here on purpose
+    assert unicayley.__all__ == [
+        "BudgetExceededError", "CayleyGraph", "CensusRecord", "DEFAULT_BUDGET",
+        "FieldSpec", "Matrix", "PairwiseSrgResult", "SrgReport", "SrgWitness",
+        "canonical_rank_matrix", "common_neighbors_bruteforce",
+        "derangements_formula", "enumerate_matrices", "explicit_graph_build",
+        "gl_order", "index_to_matrix", "is_irreducible", "make_field",
+        "matrix_space_size", "parse_matrix", "rank1_intersection_formula",
+        "rank2_case_decomposition_oracle", "rank2_case_formulas",
+        "rank2_intersection_formula", "rank_counts", "singular_shift_criterion",
+        "srg_decide", "srg_parameters_n2",
+    ]
 
 
 def test_package_names_load_on_first_access():
