@@ -17,7 +17,6 @@ scan, so a closed-form decision never loads the enumeration side.
 from __future__ import annotations
 
 import functools
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import check_rank
@@ -323,12 +322,9 @@ def srg_decide(
                 f"closed-form tuple {srg_parameters_n2(q)}"
             )
     else:
-        r1, r2 = next(
-            (a, b)
-            for a, b in combinations(mu_by_rank, 2)
-            if mu_by_rank[a] != mu_by_rank[b]
-        )
-        witness = SrgWitness((r1, r2), (mu_by_rank[r1], mu_by_rank[r2]))
+        mu1 = mu_by_rank[1]
+        r = next(r for r, mu in mu_by_rank.items() if mu != mu1)
+        witness = SrgWitness((1, r), (mu1, mu_by_rank[r]))
     return SrgReport(
         n=n, q=q, order=order, degree=degree, lam=lam,
         mu_by_rank=mu_by_rank, is_srg=is_srg,

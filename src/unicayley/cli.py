@@ -5,8 +5,10 @@ verification check failed, 2 usage error, 3 budget exceeded (an enumeration
 too large, or closed-form counts too long to print), 141 stdout was closed
 before all output was written (128 + SIGPIPE, as a shell reports for
 `yes | head`; nothing is printed).
-JSON output is deterministic: identical flags (including --seed) produce
-byte-identical documents.
+A result depends only on argv: identical flags (including --seed and
+--budget) produce byte-identical output and the same exit code.  The one
+input outside argv is the interpreter's own PYTHONINTMAXSTRDIGITS limit,
+which decides whether closed-form counts are too long to print (exit 3).
 
 Each handler imports the modules its command runs when it runs, so a call
 loads no more of the package than its command uses: field-info only fields,
@@ -37,8 +39,6 @@ from .errors import (
 )
 from .fields import FieldSpec, factor_prime_power, make_field, poly_text
 
-BUDGET_ENV_VAR = "UNICAYLEY_BUDGET"
-
 
 class UsageError(Exception):
     """Bad flag combination or unparsable value; maps to exit code 2."""
@@ -65,23 +65,6 @@ def parse_field(text: str, *, max_order: int) -> FieldSpec:
         return make_field(p, k, max_order=max_order)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _resolve_budget(args) -> int:
-    if args.budget is not None:
-        if args.budget <= 0:
-            raise UsageError("--budget must be positive")
-        return args.budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise UsageError(f"{BUDGET_ENV_VAR}={env!r} is not an integer") from None
-        if value <= 0:
-            raise UsageError(f"{BUDGET_ENV_VAR} must be positive")
-        return value
-    return DEFAULT_BUDGET
 
 
 def _check_printable(n: int, q: int, what: str) -> None:
@@ -361,9 +344,8 @@ def _add_common(sub, *, with_n=True, with_seed=False, outputs=("json", "text")):
     if with_n:
         sub.add_argument("--n", type=_positive_int, required=True,
                          help="matrix side length, at least 1")
-    sub.add_argument("--budget", type=int, default=None,
-                     help=f"max enumeration size (default {DEFAULT_BUDGET}, "
-                          f"or ${BUDGET_ENV_VAR})")
+    sub.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                     help=f"max enumeration size (default {DEFAULT_BUDGET})")
     if with_seed:
         sub.add_argument("--seed", type=int, default=0,
                          help="seed for sampled checks")
@@ -423,8 +405,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        budget = _resolve_budget(args)
-        code = args.func(args, budget)
+        code = args.func(args, args.budget)
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()
         return code

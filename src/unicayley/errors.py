@@ -8,7 +8,7 @@ import math
 # full-space scan, the matrix-shift pairs that bound a column-span transfer,
 # the vertex pairs of an explicit graph build, or the order of a field to
 # build.  Keeps desk-scale runs under minutes; override per call, or on the
-# CLI with --budget or $UNICAYLEY_BUDGET.
+# CLI with --budget.
 DEFAULT_BUDGET = 1 << 26
 
 

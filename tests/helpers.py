@@ -32,11 +32,8 @@ def random_distinct_pair(rng, n, field):
 
 
 def _env():
-    # the package from this checkout's src; $UNICAYLEY_BUDGET unset, as in
-    # perfbench/run.py, so the default budget applies
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("UNICAYLEY_BUDGET", None)
-    return env
+    # the package from this checkout's src
+    return dict(os.environ, PYTHONPATH=str(SRC))
 
 
 def run_python(*args):

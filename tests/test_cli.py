@@ -206,6 +206,21 @@ def test_matrix_side_below_one_is_a_usage_error(capsys, argv, n):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5", "x"])
+@pytest.mark.parametrize("argv", [
+    ["field-info", "--field", "2"],
+    ["census", "--n", "2", "--field", "2"],
+    ["srg", "--n", "2", "--field", "2", "--method", "oracle"],
+])
+def test_budget_below_one_or_not_an_integer_is_a_usage_error(capsys, argv,
+                                                             budget):
+    code, out, err = run_cli(capsys, *argv, "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
+    assert "Traceback" not in err
+
+
 def test_census_bad_matrix_literal(capsys):
     code, _, _ = run_cli(
         capsys, "census", "--n", "2", "--field", "2",
@@ -658,25 +673,14 @@ def test_srg_methods_print_the_same_report(capsys):
     assert len(outputs) == 2
 
 
-def test_budget_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("UNICAYLEY_BUDGET", "100")
-    code, _, _ = run_cli(
-        capsys, "census", "--n", "3", "--field", "3", "--method", "oracle",
-        "--rank", "1",
-    )
-    assert code == 3
-    # the flag wins over the environment
-    code, _, _ = run_cli(
-        capsys, "census", "--n", "3", "--field", "3", "--method", "oracle",
-        "--rank", "1", "--budget", "100000",
-    )
-    assert code == 0
-    monkeypatch.setenv("UNICAYLEY_BUDGET", "bogus")
-    code, _, _ = run_cli(capsys, "census", "--n", "2", "--field", "2")
-    assert code == 2
-    monkeypatch.setenv("UNICAYLEY_BUDGET", "0")
-    code, out, err = run_cli(capsys, "census", "--n", "2", "--field", "2")
-    assert (code, out, err) == (2, "", "error: UNICAYLEY_BUDGET must be positive\n")
+def test_environment_does_not_set_the_budget(capsys, monkeypatch):
+    # the budget comes from argv alone; the shell's environment changes nothing
+    argv = ("census", "--n", "3", "--field", "3", "--method", "oracle",
+            "--rank", "1")
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0
+    monkeypatch.setenv("UNICAYLEY_BUDGET", "1")
+    assert run_cli(capsys, *argv) == expected
 
 
 def test_json_outputs_are_byte_identical_across_runs(capsys):
@@ -721,7 +725,8 @@ FUZZ_EXTRA_FLAGS = (
 def fuzz_argv(draw):
     """argv from a small grammar of valid and invalid flags and values."""
     command = draw(st.sampled_from(sorted(FUZZ_OWN_FLAGS)))
-    argv = [command]
+    # a small budget keeps each run short; a trailing --budget 0 overrides it
+    argv = [command, "--budget", "4096"]
     if command != "field-info":
         argv += ["--n", draw(st.sampled_from(FUZZ_SIDES))]
     argv += ["--field", draw(st.sampled_from(FUZZ_FIELDS))]
@@ -733,9 +738,7 @@ def fuzz_argv(draw):
     return argv
 
 
-def test_every_argv_keeps_the_exit_code_contract(monkeypatch):
-    monkeypatch.setenv("UNICAYLEY_BUDGET", "4096")
-
+def test_every_argv_keeps_the_exit_code_contract():
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(fuzz_argv())
     def check(argv):
@@ -830,13 +833,11 @@ def test_parser_choices_are_the_library_names():
     (["srg", "--n", "2", "--field", "3", "--output", "csv"], 2, ""),
     (["graph-build", "--n", "2", "--field", "16"], 3, ""),
 ])
-def test_module_entry_point_matches_main(capsys, monkeypatch, argv, expected,
-                                         first_line):
+def test_module_entry_point_matches_main(capsys, argv, expected, first_line):
     code, out, err = run_module(*argv)
     assert code == expected
     assert out.split("\n")[0] == first_line
     assert "Traceback" not in err
-    monkeypatch.delenv("UNICAYLEY_BUDGET", raising=False)
     assert run_cli(capsys, *argv) == (code, out, err)
 
 

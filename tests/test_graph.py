@@ -98,7 +98,7 @@ def test_common_neighbors_above_table_limit(p, k):
     assert common_neighbors_bruteforce(a, a) == field.q - 1
 
 
-def test_common_neighbors_by_rank_examples():
+def test_pair_counts_by_difference_rank_examples():
     def by_rank(a, b):
         return rank_counts(3, F2, (a - b).rank(), "formula")[0]
 
