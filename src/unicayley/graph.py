@@ -16,9 +16,9 @@ pairwise_srg_test then re-derives the verdict from scratch: it checks the
 common-neighbor count of every vertex pair, a whole row of A^2 at a time,
 as an independent check that assumes neither rank theory nor
 vertex-transitivity.  _column_sums adds up each row's bitsets in bit-sliced
-column counters through a carry-save tree that parks one pending carry per
-bit plane (the Harley-Seal scheme of Mula, Kurz and Lemire, "Faster
-Population Counts Using AVX2 Instructions", 2018).
+column counters, 16 bitsets at a time through a carry-save block of 15 full
+adders (the Harley-Seal scheme of Mula, Kurz and Lemire, "Faster Population
+Counts Using AVX2 Instructions", 2018).
 
 The test first checks rows 0, 1, ... in process until lambda and mu are
 both fixed; for an unlooped Cayley graph that is row 0 alone.  Every later
@@ -34,7 +34,7 @@ gone stops at its next row.
 from __future__ import annotations
 
 import os
-from itertools import chain, compress
+from itertools import chain, compress, zip_longest
 from typing import NamedTuple
 
 from .errors import check_budget
@@ -46,8 +46,10 @@ from .matrices import matrix_space_size, scan_space
 HARD_VERTEX_CAP = 1 << 16
 
 # pairwise_srg_test runs one more process per this many row additions, up to
-# one per CPU it may run on; below twice this, it forks none
-ROW_ADDITIONS_PER_WORKER = 1 << 16
+# one per CPU it may run on; below twice this, it forks none.  A fork costs
+# about 1 ms, and twice this many additions take about 3 ms in process, so
+# (2,4) and (2,5) split and (2,2) and (2,3) do not
+ROW_ADDITIONS_PER_WORKER = 1 << 13
 
 # bin() digits to the 0/1 bytes itertools.compress selects by
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -62,41 +64,73 @@ def _column_sums(rows, width: int) -> list[int]:
 
     Bit j of planes[p] is bit p of the number of rows with bit j set, and
     width must be at least the bit length of every such number.  A
-    carry-save tree: each pair of rows goes through a full adder with plane
-    0, an odd last row paired with 0.  Its carry, of weight 2, is parked in
-    plane 1's slot if that is empty (holds 0); otherwise the two carries go
-    through a full adder with plane 1 and the new carry moves on to plane 2,
-    and so on, so a pair costs one full adder with plane 0 and about one
-    more up the tree.  Once the rows run out, each parked carry is rippled
-    upwards through half adders.
+    Harley-Seal block: the rows come 16 at a time (the last block padded
+    with 0) and go through 15 full adders into the local planes ones, twos,
+    fours and eights, 8 adders into ones, 4 into twos, 2 into fours and one
+    into eights.  Only that last adder's carry, of weight 16, ripples on
+    into planes[4:] through half adders, at most once per block.
     """
     planes = [0] * width
-    parked = [0] * width
-    for a in rows:
-        b = next(rows, 0)
-        low = planes[0]
-        half = low ^ a
-        planes[0] = half ^ b
-        carry = low & a | half & b
-        p = 1
-        while carry:
-            held = parked[p]
-            if not held:
-                parked[p] = carry
-                break
-            parked[p] = 0
-            plane = planes[p]
-            half = plane ^ held
-            planes[p] = half ^ carry
-            carry = plane & held | half & carry
-            p += 1
-    for start, carry in enumerate(parked):
-        p = start
+    ones = twos = fours = eights = 0
+    for (a0, a1, a2, a3, a4, a5, a6, a7,
+         b0, b1, b2, b3, b4, b5, b6, b7) in zip_longest(*[rows] * 16, fillvalue=0):
+        # each adder adds two inputs of one weight to that weight's plane
+        # and carries into the next; a0..a7 leave eights_a of weight 8
+        u = ones ^ a0
+        twos_a = ones & a0 | u & a1
+        ones = u ^ a1
+        u = ones ^ a2
+        twos_b = ones & a2 | u & a3
+        ones = u ^ a3
+        u = twos ^ twos_a
+        fours_a = twos & twos_a | u & twos_b
+        twos = u ^ twos_b
+        u = ones ^ a4
+        twos_a = ones & a4 | u & a5
+        ones = u ^ a5
+        u = ones ^ a6
+        twos_b = ones & a6 | u & a7
+        ones = u ^ a7
+        u = twos ^ twos_a
+        fours_b = twos & twos_a | u & twos_b
+        twos = u ^ twos_b
+        u = fours ^ fours_a
+        eights_a = fours & fours_a | u & fours_b
+        fours = u ^ fours_b
+        # b0..b7 the same way, leaving eights_b
+        u = ones ^ b0
+        twos_a = ones & b0 | u & b1
+        ones = u ^ b1
+        u = ones ^ b2
+        twos_b = ones & b2 | u & b3
+        ones = u ^ b3
+        u = twos ^ twos_a
+        fours_a = twos & twos_a | u & twos_b
+        twos = u ^ twos_b
+        u = ones ^ b4
+        twos_a = ones & b4 | u & b5
+        ones = u ^ b5
+        u = ones ^ b6
+        twos_b = ones & b6 | u & b7
+        ones = u ^ b7
+        u = twos ^ twos_a
+        fours_b = twos & twos_a | u & twos_b
+        twos = u ^ twos_b
+        u = fours ^ fours_a
+        eights_b = fours & fours_a | u & fours_b
+        fours = u ^ fours_b
+        u = eights ^ eights_a
+        carry = eights & eights_a | u & eights_b
+        eights = u ^ eights_b
+        # the carry of weight 16
+        p = 4
         while carry:
             plane = planes[p]
             planes[p] = plane ^ carry
             carry &= plane
             p += 1
+    # under 8 rows width can be below 4, and the planes cut off are 0
+    planes[:4] = (ones, twos, fours, eights)[:width]
     return planes
 
 
@@ -252,8 +286,9 @@ class CayleyGraph:
         known to be regular of degree d, A^2 = dJ - (J - A)A as well, so a
         dense graph sums the rows of i's non-neighbors (i included unless it
         has a loop) and subtracts from d; either way at most v / 2 rows per
-        row i on v vertices.  _column_sums adds them up in a carry-save
-        tree of bit planes: planes[p] holds bit p of every column's sum.  A
+        row i on v vertices.  _column_sums adds them up in carry-save
+        blocks of 16 into bit planes: planes[p] holds bit p of every
+        column's sum.  A
         class of row i (its neighbors, or its non-neighbors, both without i)
         has one count iff every plane is all-ones or all-zeros on it.  Every
         ordered pair is checked.  The adjacency relation must be symmetric,

@@ -294,6 +294,11 @@ def _iter_flat(size: int, q: int):
         yield t[::-1]
 
 
+def first_rows(n: int, field: FieldSpec) -> list[tuple]:
+    """The q^n first rows of a scan_space block, in the order of its dets."""
+    return list(_iter_flat(n, field.q))
+
+
 def enumerate_matrices(n: int, field: FieldSpec, *, budget: int | None = None):
     """Iterate every matrix of the space exactly once, in ascending index order.
 
@@ -338,10 +343,10 @@ def scan_space(n: int, field: FieldSpec, visit) -> None:
     Row 0 holds the n least significant base-q digits of a matrix index, so
     the q^n matrices that share rows 1..n-1 (the flat tuple tail) form one
     block of consecutive indices; dets lists their determinants in index
-    order (see _block_dets).  This is the one full-space loop; callers keep
-    their own tallies.  It charges nothing: each public entry point charges
-    its whole work through errors.check_budget before it builds anything or
-    calls this.
+    order, one per row of first_rows(n, field) (see _block_dets).  This is
+    the one full-space loop; callers keep their own tallies.  It charges
+    nothing: each public entry point charges its whole work through
+    errors.check_budget before it builds anything or calls this.
     """
     dets = _block_dets(n, field)
     for tail in _iter_flat(n * n - n, field.q):
@@ -434,8 +439,14 @@ def _transfer_counts(shifts, sizes: list | None = None) -> list[int]:
                 sizes.append(len(states))
         total = 0
         for (u, v), ways in states.items():
-            meet = (q ** (n - 2) if u != v
-                    else q ** (n - 1) if span(u, last) is None else 0)
+            if u != v:
+                meet = q ** (n - 2)
+            else:
+                # last lies in U iff it leaves the rank alone: a plain
+                # elimination, with no reduction and no new subspace id
+                rows = [*map(list, bases[u]), list(last)]
+                inside = len(_eliminate(rows, field)[0]) == len(bases[u])
+                meet = q ** (n - 1) if inside else 0
             total += ways * (q ** n - 2 * q ** (n - 1) + meet)
         counts.append(total)
     return counts

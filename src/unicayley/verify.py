@@ -13,7 +13,6 @@ so a wrapper installed on either sees that work in every check.
 from __future__ import annotations
 
 import random
-from itertools import product
 
 from . import matrices
 from .census import (
@@ -25,6 +24,7 @@ from .census import (
 )
 from .matrices import (
     Matrix,
+    first_rows,
     index_to_matrix,
     matrix_space_size,
     rank2_case_decomposition_oracle,
@@ -36,7 +36,7 @@ RANK_REDUCTION_SAMPLES = 50
 
 def _check_rank1_singularity(n, field, seed, budget):
     add = field.add_table
-    rows = [t[::-1] for t in product(range(field.q), repeat=n)]  # index order
+    rows = first_rows(n, field)
     witnesses = []
 
     def visit(tail, dets):

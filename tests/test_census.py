@@ -25,6 +25,7 @@ from unicayley import (
 )
 from unicayley import matrices
 from unicayley.census import SRG_METHODS, rank_counts, shifted_count_recursion
+from unicayley.fields import FieldSpec
 from unicayley.matrices import _transfer_counts, common_neighbors_bruteforce
 
 from helpers import random_distinct_pair, random_invertible
@@ -241,6 +242,18 @@ def test_transfer_equals_the_recursion_beyond_the_block_scan(n, p, ranks):
     field = make_field(p)
     counts = _transfer_counts([canonical_rank_matrix(n, r, field) for r in ranks])
     assert counts == [shifted_count_recursion(n, r, p) for r in ranks]
+
+
+def test_transfer_takes_no_inverse_for_the_last_column(monkeypatch):
+    # above TABLE_LIMIT an inverse is a square-and-multiply; at n = 1 the
+    # one column is the last, and asking whether it lies in the zero span
+    # needs none
+    def inv(self, a):
+        raise AssertionError("inverse taken")
+
+    monkeypatch.setattr(FieldSpec, "_inv_raw", inv)
+    field = make_field(3, 6)
+    assert rank_counts(1, field, 1, "oracle") == [field.q - 2]
 
 
 def distinct_span_pairs(n, field, shift, length):

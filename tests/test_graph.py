@@ -383,9 +383,9 @@ def test_pairwise_agrees_with_rank_class_decision():
 
 
 def test_column_sums_match_bit_by_bit_counts():
-    # 0-130 rows of 1-70 bits, with some columns set in every row: a column
-    # set in all c >= 2 rows leaves a carry parked at each plane p >= 1
-    # where bit p of c is set, the top one included, after odd and even c
+    # 0-130 rows of 1-70 bits: every tail length mod 16, up to 8 whole
+    # blocks, with some columns set in every row, so a column's count of
+    # c rows sets every plane that bit p of c names, the top one included
     rng = random.Random(1404)
     for count in range(131):
         width = rng.randrange(1, 71)
@@ -678,9 +678,14 @@ def test_worker_count_follows_cpus_and_work(monkeypatch):
     per = graph.ROW_ADDITIONS_PER_WORKER
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     assert [graph._worker_count(k * per) for k in (0, 1, 2, 3, 100)] == [1, 1, 2, 3, 3]
-    # graph-build keeps (2,5) and (3,2) in process and splits (2,7)
-    assert graph._worker_count(5 ** 4 * (5 ** 4 - gl_order(2, 5))) == 1
-    assert graph._worker_count(2 ** 9 * gl_order(3, 2)) == 1
+    # graph-build keeps (2,2) and (2,3) in process and splits (2,4), (2,5)
+    # and (2,7); (3,2) would split, but its row 0 already varies, so the
+    # head forks nothing (test_split_forks_nothing_once_the_head_has_settled)
+    assert graph._worker_count(2 ** 4 * gl_order(2, 2)) == 1
+    assert graph._worker_count(3 ** 4 * (3 ** 4 - gl_order(2, 3))) == 1
+    assert graph._worker_count(4 ** 4 * (4 ** 4 - gl_order(2, 4))) == 2
+    assert graph._worker_count(5 ** 4 * (5 ** 4 - gl_order(2, 5))) == 3
+    assert graph._worker_count(2 ** 9 * gl_order(3, 2)) == 3
     assert graph._worker_count(7 ** 4 * (7 ** 4 - gl_order(2, 7))) == 3
     monkeypatch.delattr(os, "sched_getaffinity")
     assert graph._worker_count(100 * per) == 1

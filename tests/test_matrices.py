@@ -22,7 +22,7 @@ from unicayley import (
     parse_matrix,
     singular_shift_criterion,
 )
-from unicayley.matrices import _det_flat, _eliminate, scan_space
+from unicayley.matrices import _det_flat, _eliminate, first_rows, scan_space
 from helpers import random_invertible, random_matrix, run_python
 
 F2 = make_field(2)
@@ -285,16 +285,18 @@ def test_only_eliminate_names_the_inverse_table():
                                    (3, 2, 1), (4, 2, 1)])
 def test_block_dets_equal_per_matrix_determinants(n, p, k):
     # every matrix's determinant from its block's row-0 expansion equals the
-    # elimination kernel's, in index order; GF(3^6) lies above TABLE_LIMIT
+    # elimination kernel's, in index order, beside its row of first_rows;
+    # GF(3^6) lies above TABLE_LIMIT
     field = make_field(p, k)
     matrices = enumerate_matrices(n, field)
+    rows = first_rows(n, field)
     blocks = []
 
     def visit(tail, dets):
         blocks.append(len(dets))
-        for det in dets:
+        for row, det in zip(rows, dets, strict=True):
             m = next(matrices)
-            assert m.entries[n:] == tail
+            assert m.entries == row + tail
             assert det == _det_flat(m.entries, n, field)
 
     scan_space(n, field, visit)
