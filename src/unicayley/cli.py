@@ -98,31 +98,14 @@ def _print_json(doc) -> None:
 
 def _census_records(args, n, budget):
     """Build (field, records, agrees_by_rank, pair_info) for the census command."""
-    from .census import CensusRecord, rank_counts
-
     method = args.method
     pair = args.matrix_a is not None or args.matrix_b is not None
-    if pair or method != "formula":  # loaded before the field is built
-        from .matrices import common_neighbors_bruteforce, parse_matrix
-    field = parse_field(args.field, max_order=budget)
-    q = field.q
-    if method != "oracle":
-        _check_printable(n, q, "closed-form census")
-    pair_info = None
+    # the checks that need only argv come before any import or field build
     if pair:
         if args.matrix_a is None or args.matrix_b is None:
             raise UsageError("pair queries need both --matrix-a and --matrix-b")
         if args.rank is not None:
             raise UsageError("--rank conflicts with a pair query; the rank is derived")
-        try:
-            a = parse_matrix(args.matrix_a, field)
-            b = parse_matrix(args.matrix_b, field)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        if a.n != n or b.n != n:
-            raise UsageError(f"matrix literals must be {n}x{n}")
-        r = (a - b).rank()
-        pair_info = {"matrix_a": a.to_literal(), "matrix_b": b.to_literal(), "rank": r}
     elif args.rank is None or args.rank == "all":
         r = None
     else:
@@ -133,6 +116,27 @@ def _census_records(args, n, budget):
             raise UsageError(msg) from None
         if not 0 <= r <= n:
             raise UsageError(f"--rank must lie in [0, {n}], got {r}")
+
+    from .census import CensusRecord, rank_counts
+
+    if pair or method != "formula":  # loaded before the field is built
+        from .matrices import common_neighbors_bruteforce, parse_matrix
+    field = parse_field(args.field, max_order=budget)
+    q = field.q
+    if method != "oracle":
+        _check_printable(n, q, "closed-form census")
+    pair_info = None
+    if pair:
+        # the literals parse after the field: their entries are checked against q
+        try:
+            a = parse_matrix(args.matrix_a, field)
+            b = parse_matrix(args.matrix_b, field)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if a.n != n or b.n != n:
+            raise UsageError(f"matrix literals must be {n}x{n}")
+        r = (a - b).rank()
+        pair_info = {"matrix_a": a.to_literal(), "matrix_b": b.to_literal(), "rank": r}
     counts = {}
     if method != "formula":  # charged before any count is formed
         counts["oracle"] = (

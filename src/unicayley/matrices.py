@@ -4,14 +4,14 @@ Covers ring arithmetic, rank, determinant, the paper's singular-shift lemma,
 and canonical enumeration of the full matrix space by integer index (entry
 (0,0) is the least significant base-q digit).  One row reduction,
 _eliminate, gives every rank and every determinant above the closed forms
-for n <= 3, and, reduced, the canonical basis of a span.  Every
-enumeration oracle lives here and counts what census computes in closed
-form, each charged up front.  The shifted-intersection count and the
-common-neighbor count of a pair come from one column-span transfer,
-_transfer_counts, which decides every matrix by its columns' spans and
-never forms one.  scan_space is the one full-space loop, for the callers
-that need each matrix: the graph's unit set, the rank-1 singularity check
-and the rank-2 case split.
+for n <= 3.  Every enumeration oracle lives here and counts what census
+computes in closed form, each charged up front.  The shifted-intersection
+count and the common-neighbor count of a pair come from one column-span
+transfer, _transfer_counts, which decides every matrix by its columns'
+spans and never forms one.  A span there is the set of its vectors' codes,
+so the transfer needs no elimination.  scan_space is the one full-space
+loop, for the callers that need each matrix: the graph's unit set, the
+rank-1 singularity check and the rank-2 case split.
 """
 
 from __future__ import annotations
@@ -196,16 +196,12 @@ def _det_flat(e, n: int, field: FieldSpec) -> int:
     return det
 
 
-def _eliminate(rows: list[list[int]], field: FieldSpec, *,
-               reduced: bool = False) -> tuple[list[int], int]:
+def _eliminate(rows: list[list[int]], field: FieldSpec) -> tuple[list[int], int]:
     """Row-reduce a nonempty rectangular list-of-rows in place.
 
     Returns (pivots, swaps): the pivot entries in column order, so the rank
     is len(pivots), and the number of row exchanges made.  This is the one
-    elimination loop of the package, behind rank, determinant and span keys.
-    With reduced=True it goes on to the reduced row-echelon form: each pivot
-    row is scaled to a leading 1 and its pivot column cleared in every other
-    row, so two lists with the same row space end with the same nonzero rows.
+    elimination loop of the package, behind rank and determinant only.
     """
     m = len(rows)
     width = len(rows[0])
@@ -223,19 +219,12 @@ def _eliminate(rows: list[list[int]], field: FieldSpec, *,
             swaps += 1
         prow = rows[rank]
         pivots.append(prow[col])
-        if reduced:
-            scale = mul[inv[prow[col]]]
-            prow[col:] = [scale[e] for e in prow[col:]]
-            ipv = 1
-            targets = [r for r in range(m) if r != rank]
-        elif rank + 1 == m:
+        if rank + 1 == m:
             # no row left to eliminate: skip the pivot's inverse, a
             # square-and-multiply on fields too large for stored tables
             break
-        else:
-            ipv = inv[prow[col]]
-            targets = range(rank + 1, m)
-        for r in targets:
+        ipv = inv[prow[col]]
+        for r in range(rank + 1, m):
             lead = rows[r][col]
             if lead != 0:
                 mc = mul[mul[lead][ipv]]
@@ -386,36 +375,41 @@ def _transfer_counts(shifts, sizes: list | None = None) -> list[int]:
     and that last term is q^(n-2) if U != V (two hyperplanes), q^(n-1) if
     U = V contains d, and 0 if U = V does not.
 
-    A subspace is an id keyed by its reduced row-echelon basis from
-    _eliminate, so one span reached two ways is one state.  The list of a
-    subspace's extensions by every vector is built once and serves every
-    shift.  No rank class, Gaussian binomial or closed form enters, and d
-    may be any matrix.  With a list sizes, the number of states after each
-    of the first n - 1 columns is appended to it for each shift.
+    A subspace is an id keyed by the frozenset of its vectors' codes, so one
+    span reached two ways is one state, and "U contains d" is a membership
+    test.  extend(u) lists, for every vector v, the id of span(U, v), or
+    None for v in U.  It builds each new span W once, coset by coset: W is
+    U together with U + a v for every a != 0, and every code of W outside U
+    maps to W.  That list serves every shift.  No elimination, inverse,
+    rank class, Gaussian binomial or closed form enters, and d may be any
+    matrix.  With a list sizes, the number of states after each of the
+    first n - 1 columns is appended to it for each shift.
     """
     n, field = shifts[0].n, shifts[0].field
-    q, sub = field.q, field.sub_table
-    ids = {(): 0}
-    bases = [()]
+    q, add, sub, mul = field.q, field.add_table, field.sub_table, field.mul_table
+    place = [q ** i for i in range(n)]  # a vector's code is sum(digit * place)
+    spaces = [frozenset([0])]
+    ids = {spaces[0]: 0}
     extensions = {}
-
-    def span(u, v):
-        # the id of span(U, v) for the subspace U with id u; None if v is in U
-        rows = [*map(list, bases[u]), list(v)]
-        rank = len(_eliminate(rows, field, reduced=True)[0])
-        if rank == len(bases[u]):
-            return None
-        # from a list: tuple() of an iterator over-allocates and shrinks, and
-        # CPython then keeps up to 2000 of the freed tuples (~0.1 MB)
-        key = tuple([tuple(row) for row in rows[:rank]])
-        if key not in ids:
-            ids[key] = len(bases)
-            bases.append(key)
-        return ids[key]
 
     def extend(u):
         if u not in extensions:
-            extensions[u] = [span(u, v) for v in _iter_flat(n, q)]
+            inside = spaces[u]
+            # each member as the add-table rows of its digits
+            members = [[add[c // p % q] for p in place] for c in inside]
+            out = [None] * q ** n
+            for c, v in enumerate(_iter_flat(n, q)):
+                if c not in inside and out[c] is None:
+                    scale = [mul[y] for y in v]
+                    new = [sum(x[y[a]] * p for x, y, p in zip(m, scale, place))
+                           for a in range(1, q) for m in members]
+                    w = inside.union(new)
+                    if w not in ids:
+                        ids[w] = len(spaces)
+                        spaces.append(w)
+                    for code in new:
+                        out[code] = ids[w]
+            extensions[u] = out
         return extensions[u]
 
     counts = []
@@ -424,11 +418,12 @@ def _transfer_counts(shifts, sizes: list | None = None) -> list[int]:
         *columns, last = sorted((e[j::n] for j in range(n)), key=any)
         states = {(0, 0): 1}
         for d in columns:
-            # the code of m - d, for every m
-            moved = [sum(sub[a][b] * q ** i for i, (a, b) in enumerate(zip(m, d)))
-                     for m in _iter_flat(n, q)]
+            # the code of m - d, for every m, from each coordinate's q differences
+            minus = [[sub[a][b] * p for a in range(q)] for b, p in zip(d, place)]
+            moved = [sum(map(list.__getitem__, minus, m)) for m in _iter_flat(n, q)]
             step = {}
-            for (u, v), ways in states.items():
+            while states:  # popped, so each state is freed as its successors arrive
+                (u, v), ways = states.popitem()
                 ev = extend(v)
                 hits = Counter(zip(extend(u), map(ev.__getitem__, moved)))
                 for pair, times in hits.items():
@@ -437,16 +432,13 @@ def _transfer_counts(shifts, sizes: list | None = None) -> list[int]:
             states = step
             if sizes is not None:
                 sizes.append(len(states))
+        code = sum(x * p for x, p in zip(last, place))
         total = 0
         for (u, v), ways in states.items():
             if u != v:
                 meet = q ** (n - 2)
             else:
-                # last lies in U iff it leaves the rank alone: a plain
-                # elimination, with no reduction and no new subspace id
-                rows = [*map(list, bases[u]), list(last)]
-                inside = len(_eliminate(rows, field)[0]) == len(bases[u])
-                meet = q ** (n - 1) if inside else 0
+                meet = q ** (n - 1) if code in spaces[u] else 0
             total += ways * (q ** n - 2 * q ** (n - 1) + meet)
         counts.append(total)
     return counts
@@ -485,26 +477,24 @@ def rank2_case_decomposition_oracle(
         raise ValueError(f"case split needs n >= 3, got {n}")
     check_budget([(1, field.q, n * n)], budget,
                  f"rank-2 case decomposition over M_{n}({field!r})")
-    q = field.q
-    inc = [field.add(e, 1) for e in range(q)]
-    cases = [0, 0, 0]
+    inc = [field.add(e, 1) for e in range(field.q)]
+
+    def case(b00, b01, b10, b11):
+        # the label of the leading block B1, 3 when B1 + I_2 is singular
+        if _det_flat((inc[b00], b01, b10, inc[b11]), 2, field) == 0:
+            return 3
+        if _det_flat((b00, b01, b10, b11), 2, field) != 0:
+            return 0
+        return 1 if b00 == b01 == b10 == b11 == 0 else 2
+
+    # B1's rows start a block's first row and its tail: one list per tail start
+    rows = first_rows(n, field)
+    labels = {(b10, b11): [case(x[0], x[1], b10, b11) for x in rows]
+              for b10, b11 in product(range(field.q), repeat=2)}
+    cases = Counter()
 
     def visit(tail, dets):
-        # the leading block (b00, b01; b10, b11) depends on the first two
-        # digits of the first row: label each, 3 when B1 + I_2 is singular
-        b10, b11 = tail[0], tail[1]
-        labels = []
-        for b01 in range(q):
-            for b00 in range(q):
-                if _det_flat((inc[b00], b01, b10, inc[b11]), 2, field) == 0:
-                    labels.append(3)
-                elif _det_flat((b00, b01, b10, b11), 2, field) != 0:
-                    labels.append(0)
-                else:
-                    labels.append(1 if b00 == b01 == b10 == b11 == 0 else 2)
-        kept = list(compress(labels * q ** (n - 2), dets))  # where B is invertible
-        for case in range(3):
-            cases[case] += kept.count(case)
+        cases.update(compress(labels[tail[:2]], dets))  # where B is invertible
 
     scan_space(n, field, visit)
-    return tuple(cases)
+    return cases[0], cases[1], cases[2]

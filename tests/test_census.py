@@ -293,11 +293,13 @@ def test_transfer_keeps_one_state_per_span_pair():
 
 def test_oracle_counts_scan_nothing(monkeypatch):
     # the transfer decides each matrix by its columns' spans: no block scan,
-    # no determinant
-    def refuse(*args):
-        raise AssertionError("an oracle count took a block or a determinant")
+    # no determinant, and no elimination, since a span is the set of its
+    # vectors and "v lies in U" is a membership test
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle count took a block, a determinant "
+                             "or an elimination")
 
-    for name in ("scan_space", "_block_dets", "_det_flat"):
+    for name in ("scan_space", "_block_dets", "_det_flat", "_eliminate"):
         monkeypatch.setattr(matrices, name, refuse)
     a, b = canonical_rank_matrix(3, 0, F3), canonical_rank_matrix(3, 3, F3)
     assert rank_counts(3, F3, 1, "oracle")[0] == rank_counts(3, F3, 1, "formula")[0]

@@ -139,6 +139,15 @@ def test_census_bad_rank(capsys):
     assert "rank" in err
 
 
+@pytest.mark.parametrize("flags", [["--rank", "x"], ["--matrix-a", "1"]])
+def test_census_checks_its_flags_before_the_field(capsys, flags):
+    # counts at n = 2000 need more digits than Python prints by default, a
+    # budget refusal (exit 3); a flag that argv alone refutes is a usage error
+    code, out, err = run_cli(capsys, "census", "--n", "2000", "--field", "2", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_census_formula_every_rank_n4(capsys):
     code, out, _ = run_cli(
         capsys, "census", "--n", "4", "--field", "2",
