@@ -36,9 +36,7 @@ _HOMES = {
         "Matrix",
         "canonical_rank_matrix",
         "common_neighbors_bruteforce",
-        "enumerate_matrices",
         "index_to_matrix",
-        "matrix_space_size",
         "parse_matrix",
         "rank2_case_decomposition_oracle",
         "singular_shift_criterion",

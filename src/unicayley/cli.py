@@ -202,10 +202,14 @@ CHECK_NAMES = ("rank1-singularity", "rank1-count", "rank2-count", "recurrence",
 
 
 def _cmd_verify(args, budget) -> int:
+    n = args.n
+    # the check that needs only argv comes before any import or field build
+    if n < 2 and args.check == "rank2-count":
+        raise UsageError("the rank-2 count needs n >= 2")
+
     from .verify import CHECKS
 
     field = parse_field(args.field, max_order=budget)
-    n = args.n
     if args.check == "all":
         names = [name for name in CHECKS if name != "rank2-count" or n >= 2]
     else:
@@ -214,8 +218,6 @@ def _cmd_verify(args, budget) -> int:
         (term for name in names for term in CHECKS[name][1](n, field.q)), budget,
         f"verification scans over M_{n}({field!r})",
     )
-    if n < 2 and "rank2-count" in names:
-        raise UsageError("the rank-2 count needs n >= 2")
     results = []
     for name in names:
         passed, detail = CHECKS[name][0](n, field, args.seed, budget)

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .errors import check_budget
 from .fields import FieldSpec
-from .matrices import matrix_space_size, scan_space
+from .matrices import scan_space
 
 # explicit_graph_build stores one bit per vertex pair; 2^16 vertices is the
 # 512 MB point and the hard cap.
@@ -266,9 +266,7 @@ class PairwiseSrgResult(NamedTuple):
 class CayleyGraph:
     """Materialized adjacency relation, one bit set per vertex."""
 
-    def __init__(self, n: int, field: FieldSpec, adjacency: list[int]):
-        self.n = n
-        self.field = field
+    def __init__(self, adjacency: list[int]):
         self.order = len(adjacency)
         self.adjacency = adjacency
 
@@ -354,7 +352,7 @@ def explicit_graph_build(
     """
     check_budget([(1, field.q, n * n)], HARD_VERTEX_CAP, "explicit graph build",
                  unit="vertices", remedy="the vertex cap does not follow the budget")
-    order = matrix_space_size(n, field)
+    order = field.q ** (n * n)
     check_budget([(order * (order - 1) // 2, 1, 1)], budget,
                  "explicit graph build", unit="vertex pairs")
     blocks = []
@@ -373,4 +371,4 @@ def explicit_graph_build(
             up, down = c * step, (p - c) * step
             adjacency += [(bits & low) << up | (bits & high) >> down
                           for bits in adjacency[:step]]
-    return CayleyGraph(n, field, adjacency)
+    return CayleyGraph(adjacency)

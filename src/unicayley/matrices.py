@@ -1,17 +1,18 @@
 """Exact dense n x n matrices over a FieldSpec, and the enumeration oracles.
 
 Covers ring arithmetic, rank, determinant, the paper's singular-shift lemma,
-and canonical enumeration of the full matrix space by integer index (entry
-(0,0) is the least significant base-q digit).  One row reduction,
-_eliminate, gives every rank and every determinant above the closed forms
-for n <= 3.  Every enumeration oracle lives here and counts what census
-computes in closed form, each charged up front.  The shifted-intersection
-count and the common-neighbor count of a pair come from one column-span
-transfer, _transfer_counts, which decides every matrix by its columns'
-spans and never forms one.  A span there is the set of its vectors' codes,
-so the transfer needs no elimination.  scan_space is the one full-space
-loop, for the callers that need each matrix: the graph's unit set, the
-rank-1 singularity check and the rank-2 case split.
+and canonical indexing of the q^(n^2) matrices of the space (entry (0,0) is
+the least significant base-q digit).  One row reduction, _eliminate, gives
+every rank and every determinant above the closed forms for n <= 3.  Every
+enumeration oracle lives here and counts what census computes in closed
+form, each charged up front.  The shifted-intersection count and the
+common-neighbor count of a pair come from one column-span transfer,
+_transfer_counts, which decides every matrix by its columns' spans and
+never forms one.  A span there is the set of its vectors' codes, so the
+transfer needs no elimination.  _oracle_terms is the one statement of the
+transfer's charge, for census and verify alike.  scan_space is the one
+full-space loop, for the callers that need each matrix: the graph's unit
+set, the rank-1 singularity check and the rank-2 case split.
 """
 
 from __future__ import annotations
@@ -259,12 +260,8 @@ def singular_shift_criterion(a: Matrix) -> bool:
 # --- canonical enumeration ----------------------------------------------------
 
 
-def matrix_space_size(n: int, field: FieldSpec) -> int:
-    return field.q ** (n * n)
-
-
 def index_to_matrix(i: int, n: int, field: FieldSpec) -> Matrix:
-    size = matrix_space_size(n, field)
+    size = field.q ** (n * n)
     if not 0 <= i < size:
         raise ValueError(f"index {i} outside [0, {size})")
     q = field.q
@@ -286,15 +283,6 @@ def _iter_flat(size: int, q: int):
 def first_rows(n: int, field: FieldSpec) -> list[tuple]:
     """The q^n first rows of a scan_space block, in the order of its dets."""
     return list(_iter_flat(n, field.q))
-
-
-def enumerate_matrices(n: int, field: FieldSpec, *, budget: int | None = None):
-    """Iterate every matrix of the space exactly once, in ascending index order.
-
-    A budget problem raises eagerly, before the first matrix is produced.
-    """
-    check_budget([(1, field.q, n * n)], budget, f"enumeration of M_{n}({field!r})")
-    return (Matrix._wrap(n, flat, field) for flat in _iter_flat(n * n, field.q))
 
 
 def _block_dets(n: int, field: FieldSpec):
@@ -345,17 +333,21 @@ def scan_space(n: int, field: FieldSpec, visit) -> None:
 # --- enumeration oracles --------------------------------------------------------
 
 
+def _oracle_terms(shifts: int, n: int, q: int) -> list[tuple[int, int, int]]:
+    """The charge of one _transfer_counts call over shifts matrices of M_n(GF(q)).
+
+    The charge is shifts * q^(n^2), the matrix-shift pairs of a full scan,
+    as check_budget terms.  It bounds the transfer's work, at most
+    sum_j min(q^(nj), [n, j]_q^2) * q^n per shift.
+    """
+    return [(shifts, q, n * n)]
+
+
 def _charge_oracle_pass(shifts: int, n: int, field: FieldSpec,
                         budget: int | None) -> None:
-    """Charge one _transfer_counts call over shifts matrices of M_n(GF(q)).
-
-    The charge is shifts * q^(n^2), the matrix-shift pairs of a full scan.
-    It bounds the transfer's work, at most sum_j min(q^(nj), [n, j]_q^2) * q^n
-    per shift.  Call it before building the shifts, so that a refused count
-    allocates nothing.
-    """
+    """Charge _oracle_terms before any shift is built: a refusal allocates nothing."""
     noun = "shift" if shifts == 1 else "shifts"
-    check_budget([(shifts, field.q, n * n)], budget,
+    check_budget(_oracle_terms(shifts, n, field.q), budget,
                  f"oracle pass over {shifts} {noun} in M_{n}({field!r})")
 
 
@@ -363,7 +355,7 @@ def _transfer_counts(shifts, sizes: list | None = None) -> list[int]:
     """Count invertible M with M - d invertible for each shift d, by column spans.
 
     The shifts are matrices of one space M_n(GF(q)); the caller has charged
-    them with _charge_oracle_pass.  M and M - d are both invertible iff,
+    them by _oracle_terms.  M and M - d are both invertible iff,
     column by column, m_j lies outside U = span(m_<j) and m_j - d_j outside
     V = span(m_<j - d_<j).  So each count keeps a table from the state
     (U, V) to the number of column prefixes that reach it, and extends every

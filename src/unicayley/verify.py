@@ -5,9 +5,9 @@ form against the enumeration oracle, the recursion against the paper's
 forms, the singular-shift criterion against the determinant on every
 matrix, or the rank-class reduction against brute-force common neighbors.
 A check takes (n, field, seed, budget) and returns (passed, detail).
-Every shifted count goes through matrices._transfer_counts and every
-per-matrix scan through matrices.scan_space, both looked up when they run,
-so a wrapper installed on either sees that work in every check.
+Every shifted count goes through matrices._transfer_counts, charged by
+matrices._oracle_terms, and every per-matrix scan through matrices.scan_space,
+all looked up when they run, so a wrapper on any of them sees every check.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .matrices import (
     Matrix,
     first_rows,
     index_to_matrix,
-    matrix_space_size,
     rank2_case_decomposition_oracle,
     singular_shift_criterion,
 )
@@ -50,7 +49,7 @@ def _check_rank1_singularity(n, field, seed, budget):
                 witnesses.append(flat)
 
     matrices.scan_space(n, field, visit)
-    total = matrix_space_size(n, field)
+    total = field.q ** (n * n)
     if witnesses:
         first = Matrix._wrap(n, witnesses[0], field).to_literal()
         return False, (
@@ -102,7 +101,7 @@ def _check_recurrence(n, field, seed, budget):
 
 
 def _check_rank_reduction(n, field, seed, budget):
-    size = matrix_space_size(n, field)
+    size = field.q ** (n * n)
     rng = random.Random(seed)
     pairs = []
     for _ in range(RANK_REDUCTION_SAMPLES):
@@ -123,19 +122,19 @@ def _check_rank_reduction(n, field, seed, budget):
     return True, f"{RANK_REDUCTION_SAMPLES} sampled pairs agree"
 
 
-# Each check with the number of matrices (or matrix-shift pairs) its scans
-# visit at (n, q), as check_budget terms, largest first; the verify command
-# charges their sum before the first check runs, and `--check all` runs them
-# in this order.  perfbench/checks.py::CHECK_NAMES_ALL pins the checks that
-# `--check all` must report, and the benchmark marks any other output
-# incorrect: a new check stays out of `all` until that list names it.
+# Each check with its charge at (n, q) as check_budget terms, largest first:
+# the matrices its scans visit, and matrices._oracle_terms for its transfers.
+# The verify command charges their sum before the first check runs, and
+# `--check all` runs them in this order.  perfbench/checks.py::CHECK_NAMES_ALL
+# pins the checks that `--check all` must report, and the benchmark marks any
+# other output incorrect: a new check stays out of `all` until it is named there.
 CHECKS = {
     "rank1-singularity": (_check_rank1_singularity, lambda n, q: [(1, q, n * n)]),
-    "rank1-count": (_check_rank1_count, lambda n, q: [(1, q, n * n)]),
-    "rank2-count": (_check_rank2_count,
-                    lambda n, q: [(2 if n >= 3 else 1, q, n * n)]),
-    "recurrence": (_check_recurrence,
-                   lambda n, q: ((1, q, i * i) for i in range(n, 0, -1))),
-    "rank-reduction": (_check_rank_reduction,
-                       lambda n, q: [(RANK_REDUCTION_SAMPLES, q, n * n)]),
+    "rank1-count": (_check_rank1_count, lambda n, q: matrices._oracle_terms(1, n, q)),
+    "rank2-count": (_check_rank2_count, lambda n, q: matrices._oracle_terms(1, n, q)
+                    + ([(1, q, n * n)] if n >= 3 else [])),  # the case split
+    "recurrence": (_check_recurrence, lambda n, q: (
+        term for i in range(n, 0, -1) for term in matrices._oracle_terms(1, i, q))),
+    "rank-reduction": (_check_rank_reduction, lambda n, q: matrices._oracle_terms(
+        RANK_REDUCTION_SAMPLES, n, q)),
 }

@@ -1,17 +1,29 @@
-"""Shared helpers for the test suite: seeded random matrices, fresh interpreters."""
+"""Shared helpers for the test suite: every matrix of a space, seeded random
+matrices, fresh interpreters."""
 
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
-from unicayley import index_to_matrix, matrix_space_size
+from unicayley import Matrix, index_to_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def all_matrices(n, field):
+    """Every matrix of M_n(field) in ascending index order, each one checked.
+
+    The per-matrix reference: entry (0,0) is the least significant base-q
+    digit of the index, and product counts with its last slot fastest.
+    """
+    for digits in product(range(field.q), repeat=n * n):
+        yield Matrix(n, reversed(digits), field)
+
+
 def random_matrix(rng, n, field):
-    return index_to_matrix(rng.randrange(matrix_space_size(n, field)), n, field)
+    return index_to_matrix(rng.randrange(field.q ** (n * n)), n, field)
 
 
 def random_invertible(rng, n, field):
@@ -23,7 +35,7 @@ def random_invertible(rng, n, field):
 
 
 def random_distinct_pair(rng, n, field):
-    size = matrix_space_size(n, field)
+    size = field.q ** (n * n)
     i = rng.randrange(size)
     j = rng.randrange(size - 1)
     if j >= i:

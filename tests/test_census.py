@@ -13,7 +13,6 @@ from unicayley import (
     Matrix,
     canonical_rank_matrix,
     derangements_formula,
-    enumerate_matrices,
     gl_order,
     index_to_matrix,
     make_field,
@@ -28,7 +27,7 @@ from unicayley.census import SRG_METHODS, rank_counts, shifted_count_recursion
 from unicayley.fields import FieldSpec
 from unicayley.matrices import _transfer_counts, common_neighbors_bruteforce
 
-from helpers import random_distinct_pair, random_invertible
+from helpers import all_matrices, random_distinct_pair, random_invertible
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -203,7 +202,7 @@ def test_one_transfer_call_equals_one_call_per_shift(n, field):
 
 def per_matrix_counts(n, field, shifts):
     """The reference: each matrix of the space decided on its own determinants."""
-    units = [m for m in enumerate_matrices(n, field) if m.is_invertible()]
+    units = [m for m in all_matrices(n, field) if m.is_invertible()]
     return [sum((m - d).is_invertible() for m in units) for d in shifts]
 
 
@@ -312,12 +311,10 @@ def test_intersection_oracle_full_rank_is_derangement_count():
 
 
 def test_derangement_oracle_agrees_with_matrix_predicate():
-    from unicayley import enumerate_matrices
-
     for field in (F2, F3):
         ident = canonical_rank_matrix(2, 2, field)
         count = sum(m.is_invertible() and (m - ident).is_invertible()
-                    for m in enumerate_matrices(2, field))
+                    for m in all_matrices(2, field))
         assert count == rank_counts(2, field, 2, "oracle")[0]
         assert count == derangements_formula(2, field.q)
 

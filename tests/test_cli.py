@@ -17,7 +17,6 @@ from unicayley import (
     census,
     cli,
     common_neighbors_bruteforce,
-    enumerate_matrices,
     explicit_graph_build,
     graph,
     make_field,
@@ -324,6 +323,16 @@ def test_verify_all_skips_rank2_at_n1(capsys):
     assert (code, out, err) == (2, "", "error: the rank-2 count needs n >= 2\n")
 
 
+def test_verify_rank2_at_n1_is_refused_before_the_field(capsys):
+    # the usage error needs only argv, so a field too large to build does
+    # not turn it into a budget refusal
+    for field in ("2^100000", "100000000"):
+        code, out, err = run_cli(capsys, "verify", "--check", "rank2-count",
+                                 "--n", "1", "--field", field)
+        assert (code, out, err) == (
+            2, "", "error: the rank-2 count needs n >= 2\n"), field
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     # force a disagreement to cover the failure path end to end
     monkeypatch.setattr(
@@ -602,6 +611,23 @@ def test_oracle_refusals_count_their_shifts(capsys):
             f"error: oracle pass over {shifts} in M_2(GF(3)) requires ")
 
 
+def test_the_oracle_charge_has_one_owner(capsys, monkeypatch):
+    # census and verify both take the transfer's charge from
+    # matrices._oracle_terms, so doubling its shifts doubles both refusals
+    owner = matrices._oracle_terms
+    monkeypatch.setattr(matrices, "_oracle_terms",
+                        lambda shifts, n, q: owner(2 * shifts, n, q))
+    for argv, needed in (
+        (["census", "--n", "2", "--field", "3", "--method", "oracle"], 2 * 3 * 81),
+        (["verify", "--check", "rank-reduction", "--n", "2", "--field", "3"],
+         2 * 50 * 81),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--budget", str(needed - 1))
+        assert code == 3, argv
+        assert out == ""
+        assert f"requires {needed} items" in err, argv
+
+
 def test_oracle_queries_make_one_transfer_call(capsys, monkeypatch):
     # every shift of a query goes to one transfer call, which shares its
     # span extensions between them, and no query takes a block scan
@@ -650,7 +676,6 @@ def test_no_scan_starts_before_its_charge(capsys, monkeypatch):
         lambda: census.rank_counts(3, F2, 1, "oracle", budget=2),
         lambda: common_neighbors_bruteforce(a, b, budget=2),
         lambda: rank2_case_decomposition_oracle(3, F2, budget=2),
-        lambda: enumerate_matrices(3, F2, budget=2),
         lambda: srg_decide(3, F2, method="oracle", budget=2),
         lambda: census.rank_counts(3, F2, None, "oracle", budget=2),
         lambda: explicit_graph_build(3, F2, budget=2),

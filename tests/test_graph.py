@@ -16,20 +16,18 @@ from unicayley import (
     census,
     common_neighbors_bruteforce,
     derangements_formula,
-    enumerate_matrices,
     explicit_graph_build,
     gl_order,
     graph,
     index_to_matrix,
     make_field,
-    matrix_space_size,
     rank_counts,
     srg_decide,
 )
 from unicayley.census import SrgWitness
 from unicayley.graph import CayleyGraph, PairwiseSrgResult, _column_sums, _pairwise_srg_test
 
-from helpers import random_distinct_pair, random_invertible, random_matrix
+from helpers import all_matrices, random_distinct_pair, random_invertible, random_matrix
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -111,7 +109,7 @@ def test_pair_counts_by_difference_rank_examples():
 
 
 def test_rank_class_law_exhaustive_gf2():
-    size = matrix_space_size(2, F2)
+    size = 2 ** 4
     expected = {r: rank_counts(2, F2, r, "oracle")[0] for r in (1, 2)}
     for i in range(size):
         a = index_to_matrix(i, 2, F2)
@@ -208,7 +206,7 @@ def test_srg_budget_refusal():
 
 def test_srg_oracle_budget_counts_every_scan():
     # each of the 4 scans fits in the budget, but together they do not
-    size = matrix_space_size(3, F2)
+    size = 2 ** 9
     with pytest.raises(BudgetExceededError) as exc:
         srg_decide(3, F2, method="oracle", budget=3 * size)
     assert exc.value.required == 4 * size
@@ -314,7 +312,7 @@ def test_pairwise_self_loop_graph_is_not_complete():
     rows = list(g.adjacency)
     rows[0] = rows[0] ^ 0b11
     rows[1] = rows[1] ^ 0b11
-    looped = CayleyGraph(1, g.field, rows)
+    looped = CayleyGraph(rows)
     assert {looped.degree(i) for i in range(5)} == {4}
     res = looped.pairwise_srg_test()
     assert res.note != "complete graph: no non-adjacent pairs"
@@ -357,7 +355,7 @@ def test_translated_rows_are_vertex_plus_units(n, p, k):
     # here by matrix addition; GF(257) lies above TABLE_LIMIT
     field = make_field(p, k)
     g = explicit_graph_build(n, field)
-    units = [u for u in enumerate_matrices(n, field) if u.is_invertible()]
+    units = [u for u in all_matrices(n, field) if u.is_invertible()]
     rng = random.Random(7)
     for v in [0, g.order - 1] + rng.sample(range(g.order), 6):
         vm = index_to_matrix(v, n, field)
@@ -496,7 +494,7 @@ def test_pairwise_equals_pair_by_pair_reference(family):
         every = (1 << len(adj)) - 1
         for rows in (adj, [every ^ bits for bits in adj],
                      [every ^ bits ^ (1 << i) for i, bits in enumerate(adj)]):
-            assert CayleyGraph(0, F2, rows).pairwise_srg_test() == (
+            assert CayleyGraph(rows).pairwise_srg_test() == (
                 _pairwise_by_pairs(rows))
 
 
@@ -521,11 +519,11 @@ def test_pairwise_reference_graphs_reach_every_outcome():
 def test_pairwise_paley_and_cliques():
     # P(13) is srg(13, 6, 2, 3); with a loop at every vertex each pair of
     # neighbors gains both ends as common neighbors
-    assert CayleyGraph(0, F2, _paley(13)).pairwise_srg_test() == (
+    assert CayleyGraph(_paley(13)).pairwise_srg_test() == (
         PairwiseSrgResult(13, 6, 2, 3, True))
-    assert CayleyGraph(0, F2, _paley(13, loops=True)).pairwise_srg_test() == (
+    assert CayleyGraph(_paley(13, loops=True)).pairwise_srg_test() == (
         PairwiseSrgResult(13, 7, 4, 3, True))
-    assert CayleyGraph(0, F2, _cliques(4, 3)).pairwise_srg_test() == (
+    assert CayleyGraph(_cliques(4, 3)).pairwise_srg_test() == (
         PairwiseSrgResult(12, 3, 2, 0, True))
 
 

@@ -12,18 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 import unicayley
 from unicayley import (
-    BudgetExceededError,
     Matrix,
     canonical_rank_matrix,
-    enumerate_matrices,
     index_to_matrix,
-    matrix_space_size,
     make_field,
     parse_matrix,
     singular_shift_criterion,
 )
 from unicayley.matrices import _det_flat, _eliminate, first_rows, scan_space
-from helpers import random_invertible, random_matrix, run_python
+from helpers import all_matrices, random_invertible, random_matrix, run_python
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -99,7 +96,7 @@ def test_rank_examples():
 
 
 def test_invertible_count_gf2_2x2():
-    count = sum(m.is_invertible() for m in enumerate_matrices(2, F2))
+    count = sum(m.is_invertible() for m in all_matrices(2, F2))
     assert count == 6
 
 
@@ -119,7 +116,7 @@ def test_eliminate_takes_no_inverse_for_the_last_pivot():
 
 @pytest.mark.parametrize("n,field", [(2, F2), (2, F3), (3, F2), (2, F4), (2, F5)])
 def test_rank_det_invertible_agree_exhaustive(n, field):
-    for m in enumerate_matrices(n, field):
+    for m in all_matrices(n, field):
         full_rank = m.rank() == n
         assert full_rank == (m.determinant() != 0)
         assert full_rank == m.is_invertible()
@@ -148,24 +145,25 @@ def test_singular_shift_criterion_examples():
 @pytest.mark.parametrize("n,field", [(1, F2), (1, F3), (2, F2), (2, F3), (3, F2), (3, F3)])
 def test_singular_shift_criterion_matches_predicate(n, field):
     e11 = canonical_rank_matrix(n, 1, field)
-    for m in enumerate_matrices(n, field):
+    for m in all_matrices(n, field):
         direct = m.is_invertible() and not (m + e11).is_invertible()
         assert direct == singular_shift_criterion(m)
 
 
 def test_enumeration_examples():
-    ms = list(enumerate_matrices(1, F2))
+    # the per-matrix reference lists the space in index order
+    ms = list(all_matrices(1, F2))
     assert [m.entries for m in ms] == [(0,), (1,)]
-    ms = list(enumerate_matrices(2, F2))
+    ms = list(all_matrices(2, F2))
     assert len(ms) == 16
     assert ms[0] == Matrix(2, [0, 0, 0, 0], F2)
-    assert matrix_space_size(2, F3) == 81
+    assert [m.index() for m in ms] == list(range(16))
     # index 9 = binary 1001, least significant digit is entry (0,0)
     assert index_to_matrix(9, 2, F2) == parse_matrix("1,0;0,1", F2)
 
 
 def test_index_round_trip():
-    for i in range(matrix_space_size(2, F3)):
+    for i in range(81):
         assert index_to_matrix(i, 2, F3).index() == i
 
 
@@ -174,8 +172,6 @@ def test_enumeration_errors():
         index_to_matrix(16, 2, F2)
     with pytest.raises(ValueError):
         index_to_matrix(-1, 2, F2)
-    with pytest.raises(BudgetExceededError):
-        enumerate_matrices(3, F3, budget=100)
 
 
 def test_canonical_rank_matrix():
@@ -246,8 +242,8 @@ def _names(tree):
 
 
 def test_only_matrices_enumerates_the_space():
-    # every full-space loop goes through scan_space or enumerate_matrices,
-    # so no other module may name the generator behind them
+    # scan_space is the one full-space loop, so no other module may name
+    # the generator behind it
     package = Path(unicayley.__file__).parent
     offenders = [
         module.name
@@ -288,7 +284,7 @@ def test_block_dets_equal_per_matrix_determinants(n, p, k):
     # elimination kernel's, in index order, beside its row of first_rows;
     # GF(3^6) lies above TABLE_LIMIT
     field = make_field(p, k)
-    matrices = enumerate_matrices(n, field)
+    matrices = all_matrices(n, field)
     rows = first_rows(n, field)
     blocks = []
 
@@ -348,12 +344,11 @@ def test_public_names_are_pinned():
         "BudgetExceededError", "CayleyGraph", "CensusRecord", "DEFAULT_BUDGET",
         "FieldSpec", "Matrix", "PairwiseSrgResult", "SrgReport", "SrgWitness",
         "canonical_rank_matrix", "common_neighbors_bruteforce",
-        "derangements_formula", "enumerate_matrices", "explicit_graph_build",
-        "gl_order", "index_to_matrix", "is_irreducible", "make_field",
-        "matrix_space_size", "parse_matrix", "rank1_intersection_formula",
-        "rank2_case_decomposition_oracle", "rank2_case_formulas",
-        "rank2_intersection_formula", "rank_counts", "singular_shift_criterion",
-        "srg_decide", "srg_parameters_n2",
+        "derangements_formula", "explicit_graph_build", "gl_order",
+        "index_to_matrix", "is_irreducible", "make_field", "parse_matrix",
+        "rank1_intersection_formula", "rank2_case_decomposition_oracle",
+        "rank2_case_formulas", "rank2_intersection_formula", "rank_counts",
+        "singular_shift_criterion", "srg_decide", "srg_parameters_n2",
     ]
 
 
