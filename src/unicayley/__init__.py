@@ -30,7 +30,7 @@ _HOMES = {
         "srg_parameters_n2",
     ),
     "errors": ("BudgetExceededError", "DEFAULT_BUDGET"),
-    "fields": ("FieldSpec", "is_irreducible", "make_field"),
+    "fields": ("FieldSpec", "make_field"),
     "graph": ("CayleyGraph", "PairwiseSrgResult", "explicit_graph_build"),
     "matrices": (
         "Matrix",

@@ -78,27 +78,6 @@ def _poly_rem(a: list[int], m: list[int], p: int) -> list[int]:
     return rem
 
 
-def is_irreducible(poly: list[int], p: int) -> bool:
-    """Test irreducibility of a monic polynomial over GF(p) by trial division.
-
-    Args:
-        poly: ascending coefficients; the leading coefficient must be 1.
-        p: prime characteristic.
-
-    Returns:
-        True iff poly has no monic factor of degree 1..deg(poly)//2.
-    """
-    if not is_prime(p):
-        raise ValueError(f"characteristic must be prime, got {p}")
-    if len(poly) < 2:
-        raise ValueError("polynomial must have degree >= 1")
-    if any(not 0 <= c < p for c in poly):
-        raise ValueError(f"coefficients must lie in [0, {p})")
-    if poly[-1] != 1:
-        raise ValueError("polynomial must be monic")
-    return _irreducible(poly, p)
-
-
 def _irreducible(poly: list[int], p: int) -> bool:
     # unchecked: poly must be monic with coefficients in [0, p), p prime
     deg = len(poly) - 1
@@ -166,8 +145,8 @@ class FieldSpec:
     be shared freely.  Hot loops index the lookup tables add_table,
     sub_table, mul_table (t[a][b]) and inv_table (t[a]) directly, on codes
     they have validated, and negate through the row sub_table[0]; whether an
-    entry is stored or computed is private to this class.  The methods add,
-    sub, neg, mul and inv are the checked front end to the same tables.
+    entry is stored or computed is private to this class.  mul is the one
+    checked front end to the tables; perfbench/micro.py times it.
     """
 
     __slots__ = ("p", "k", "q", "modulus",
@@ -265,30 +244,10 @@ class FieldSpec:
         if not isinstance(a, int) or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not an element code of {self!r}")
 
-    def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        return self.add_table[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        return self.sub_table[a][b]
-
-    def neg(self, a: int) -> int:
-        self._check(a)
-        return self.sub_table[0][a]
-
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
         return self.mul_table[a][b]
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
-        return self.inv_table[a]
 
     def __eq__(self, other):
         if not isinstance(other, FieldSpec):

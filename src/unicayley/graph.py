@@ -5,7 +5,7 @@ invertible.  The graph is vertex-transitive and the number of common
 neighbors of two distinct vertices depends only on rank(A - B);
 census.srg_decide decides strong regularity from those per-rank counts.
 This module holds only the explicit graph that checks that decision
-without rank theory; the edge relation is (a - b).is_invertible(), and
+without rank theory; the edge relation is (a - b).determinant() != 0, and
 the pair queries live beside the code they compute with, census (closed
 form) and matrices (enumeration).
 

@@ -1,6 +1,6 @@
 """Exact dense n x n matrices over a FieldSpec, and the enumeration oracles.
 
-Covers ring arithmetic, rank, determinant, the paper's singular-shift lemma,
+Covers difference, rank, determinant, the paper's singular-shift lemma,
 and canonical indexing of the q^(n^2) matrices of the space (entry (0,0) is
 the least significant base-q digit).  One row reduction, _eliminate, gives
 every rank and every determinant above the closed forms for n <= 3.  Every
@@ -12,7 +12,8 @@ never forms one.  A span there is the set of its vectors' codes, so the
 transfer needs no elimination.  _oracle_terms is the one statement of the
 transfer's charge, for census and verify alike.  scan_space is the one
 full-space loop, for the callers that need each matrix: the graph's unit
-set, the rank-1 singularity check and the rank-2 case split.
+set, the rank-1 singularity check and the rank-2 case split; _scan_terms
+states its charge.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class Matrix:
 
     @classmethod
     def _wrap(cls, n: int, entries: tuple, field: FieldSpec) -> "Matrix":
-        # Trusted constructor for arithmetic results and enumeration output.
+        # Trusted constructor for differences and enumeration output.
         m = object.__new__(cls)
         m.n = n
         m.entries = entries
@@ -58,43 +59,15 @@ class Matrix:
         if self.field != other.field:
             raise ValueError(f"field mismatch: {self.field!r} vs {other.field!r}")
 
-    # Arithmetic indexes the field's lookup tables directly: every entry was
-    # validated when its matrix was built.
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_space(other)
-        add = self.field.add_table
-        return Matrix._wrap(
-            self.n,
-            tuple(add[a][b] for a, b in zip(self.entries, other.entries)),
-            self.field,
-        )
-
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_space(other)
+        # every entry was validated when its matrix was built
         sub = self.field.sub_table
         return Matrix._wrap(
             self.n,
             tuple(sub[a][b] for a, b in zip(self.entries, other.entries)),
             self.field,
         )
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        self._same_space(other)
-        n = self.n
-        f = self.field
-        add, mul = f.add_table, f.mul_table
-        a = self.entries
-        b = other.entries
-        out = [0] * (n * n)
-        for i in range(n):
-            base = i * n
-            for j in range(n):
-                acc = 0
-                for t in range(n):
-                    acc = add[acc][mul[a[base + t]][b[t * n + j]]]
-                out[base + j] = acc
-        return Matrix._wrap(n, tuple(out), f)
 
     def determinant(self) -> int:
         return _det_flat(self.entries, self.n, self.field)
@@ -104,38 +77,12 @@ class Matrix:
         rows = [list(self.entries[i * n:(i + 1) * n]) for i in range(n)]
         return len(_eliminate(rows, self.field)[0])
 
-    def is_invertible(self) -> bool:
-        return _det_flat(self.entries, self.n, self.field) != 0
-
-    def index(self) -> int:
-        """Position of this matrix in the canonical enumeration of its space."""
-        code = 0
-        q = self.field.q
-        for e in reversed(self.entries):
-            code = code * q + e
-        return code
-
     def to_literal(self) -> str:
         n = self.n
         return ";".join(
             ",".join(str(e) for e in self.entries[i * n:(i + 1) * n])
             for i in range(n)
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.field == other.field
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.entries, self.field))
-
-    def __repr__(self):
-        return f"Matrix({self.to_literal()!r}, {self.field!r})"
 
 
 # --- constructors -------------------------------------------------------------
@@ -330,6 +277,11 @@ def scan_space(n: int, field: FieldSpec, visit) -> None:
         visit(tail, dets(tail))
 
 
+def _scan_terms(n: int, q: int) -> list[tuple[int, int, int]]:
+    """The charge of one scan_space pass over M_n(GF(q)): its q^(n^2) matrices."""
+    return [(1, q, n * n)]
+
+
 # --- enumeration oracles --------------------------------------------------------
 
 
@@ -467,9 +419,9 @@ def rank2_case_decomposition_oracle(
     """
     if n < 3:
         raise ValueError(f"case split needs n >= 3, got {n}")
-    check_budget([(1, field.q, n * n)], budget,
+    check_budget(_scan_terms(n, field.q), budget,
                  f"rank-2 case decomposition over M_{n}({field!r})")
-    inc = [field.add(e, 1) for e in range(field.q)]
+    inc = field.add_table[1]  # inc[e] = e + 1
 
     def case(b00, b01, b10, b11):
         # the label of the leading block B1, 3 when B1 + I_2 is singular

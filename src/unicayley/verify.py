@@ -7,7 +7,8 @@ matrix, or the rank-class reduction against brute-force common neighbors.
 A check takes (n, field, seed, budget) and returns (passed, detail).
 Every shifted count goes through matrices._transfer_counts, charged by
 matrices._oracle_terms, and every per-matrix scan through matrices.scan_space,
-all looked up when they run, so a wrapper on any of them sees every check.
+charged by matrices._scan_terms, all looked up when they run, so a wrapper on
+any of them sees every check.
 """
 
 from __future__ import annotations
@@ -123,16 +124,17 @@ def _check_rank_reduction(n, field, seed, budget):
 
 
 # Each check with its charge at (n, q) as check_budget terms, largest first:
-# the matrices its scans visit, and matrices._oracle_terms for its transfers.
+# matrices._scan_terms for its scans and matrices._oracle_terms for its transfers.
 # The verify command charges their sum before the first check runs, and
 # `--check all` runs them in this order.  perfbench/checks.py::CHECK_NAMES_ALL
 # pins the checks that `--check all` must report, and the benchmark marks any
 # other output incorrect: a new check stays out of `all` until it is named there.
 CHECKS = {
-    "rank1-singularity": (_check_rank1_singularity, lambda n, q: [(1, q, n * n)]),
+    "rank1-singularity": (_check_rank1_singularity,
+                          lambda n, q: matrices._scan_terms(n, q)),
     "rank1-count": (_check_rank1_count, lambda n, q: matrices._oracle_terms(1, n, q)),
     "rank2-count": (_check_rank2_count, lambda n, q: matrices._oracle_terms(1, n, q)
-                    + ([(1, q, n * n)] if n >= 3 else [])),  # the case split
+                    + (matrices._scan_terms(n, q) if n >= 3 else [])),  # the case split
     "recurrence": (_check_recurrence, lambda n, q: (
         term for i in range(n, 0, -1) for term in matrices._oracle_terms(1, i, q))),
     "rank-reduction": (_check_rank_reduction, lambda n, q: matrices._oracle_terms(

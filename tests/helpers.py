@@ -1,5 +1,5 @@
-"""Shared helpers for the test suite: every matrix of a space, seeded random
-matrices, fresh interpreters."""
+"""Shared helpers for the test suite: every matrix of a space, reference
+matrix arithmetic, seeded random matrices, fresh interpreters."""
 
 import os
 import subprocess
@@ -22,6 +22,31 @@ def all_matrices(n, field):
         yield Matrix(n, reversed(digits), field)
 
 
+def matrix_sum(a, b):
+    """a + b entry by entry from the field's add_table, checked on the way out."""
+    add = a.field.add_table
+    return Matrix(a.n, [add[x][y] for x, y in zip(a.entries, b.entries)], a.field)
+
+
+def matrix_product(a, b):
+    """a b as row-by-column sums of products from the field's tables,
+    checked on the way out."""
+    n, add, mul = a.n, a.field.add_table, a.field.mul_table
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = 0
+            for t in range(n):
+                acc = add[acc][mul[a.entries[i * n + t]][b.entries[t * n + j]]]
+            out.append(acc)
+    return Matrix(n, out, a.field)
+
+
+def matrix_index(m):
+    """Position of m in the canonical enumeration: entry (0,0) least significant."""
+    return sum(e * m.field.q ** i for i, e in enumerate(m.entries))
+
+
 def random_matrix(rng, n, field):
     return index_to_matrix(rng.randrange(field.q ** (n * n)), n, field)
 
@@ -30,7 +55,7 @@ def random_invertible(rng, n, field):
     # Rejection sampling; the invertible density is bounded away from zero.
     while True:
         m = random_matrix(rng, n, field)
-        if m.is_invertible():
+        if m.determinant() != 0:
             return m
 
 

@@ -628,6 +628,24 @@ def test_the_oracle_charge_has_one_owner(capsys, monkeypatch):
         assert f"requires {needed} items" in err, argv
 
 
+def test_the_scan_charge_has_one_owner(capsys, monkeypatch):
+    # verify and the rank-2 case split take a scan_space pass's charge from
+    # matrices._scan_terms, so doubling its count doubles each scan's share
+    owner = matrices._scan_terms
+    monkeypatch.setattr(matrices, "_scan_terms", lambda n, q: [
+        (2 * c, b, e) for c, b, e in owner(n, q)])
+    for check, needed in (("rank2-count", 512 + 2 * 512),
+                          ("rank1-singularity", 2 * 512)):
+        code, out, err = run_cli(capsys, "verify", "--check", check, "--n", "3",
+                                 "--field", "2", "--budget", str(needed - 1))
+        assert code == 3, check
+        assert out == ""
+        assert f"requires {needed} items" in err, check
+    with pytest.raises(BudgetExceededError) as exc:
+        rank2_case_decomposition_oracle(3, make_field(2), budget=2 * 512 - 1)
+    assert exc.value.required == 2 * 512
+
+
 def test_oracle_queries_make_one_transfer_call(capsys, monkeypatch):
     # every shift of a query goes to one transfer call, which shares its
     # span extensions between them, and no query takes a block scan
