@@ -254,9 +254,6 @@ class FieldSpec:
             return NotImplemented
         return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
 
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
-
     def __repr__(self):
         return f"GF({self.q})"
 

@@ -22,13 +22,14 @@ Counts Using AVX2 Instructions", 2018).
 
 The test first checks rows 0, 1, ... in process until lambda and mu are
 both fixed; for an unlooped Cayley graph that is row 0 alone.  Every later
-row is then a yes/no check against those two counts, so a large test cuts
-the rest into contiguous ranges, one per CPU the process may run on, and
-forks a child for every range but the first, which it checks itself.  A
-child answers by its exit status alone.  A small test, or one on a single
-CPU or a platform without fork, checks every row in process.  Every child
-is reaped before the test returns or raises, and a child whose parent has
-gone stops at its next row.
+row is then a yes/no check against those two counts, so the result is the
+same however those rows are shared out.  They are cut into W contiguous
+ranges, W the smaller of the CPUs the process may run on and the row
+additions over ROW_ADDITIONS_PER_WORKER (1 without os.fork or
+os.sched_getaffinity).  Ranges 2..W run in forked children, each answering
+by its exit status alone, and range 1 in process.  Every child is reaped
+before the test returns or raises, a failed child raises RuntimeError, and
+a child whose parent has gone stops at its next row.
 """
 
 from __future__ import annotations
@@ -46,10 +47,12 @@ from .matrices import scan_space
 HARD_VERTEX_CAP = 1 << 16
 
 # pairwise_srg_test runs one more process per this many row additions, up to
-# one per CPU it may run on; below twice this, it forks none.  A fork costs
-# about 1 ms, and twice this many additions take about 3 ms in process, so
-# (2,4) and (2,5) split and (2,2) and (2,3) do not
-ROW_ADDITIONS_PER_WORKER = 1 << 13
+# one per CPU it may run on; below twice this, it forks none.  The test
+# alone, in process against two ranges (medians of 14 fresh processes each,
+# 2 CPUs, CPython 3.11.7): 5.5 against 8.5 ms at (2,4), 19,456 additions;
+# 26 against 29 ms at (2,5), 90,625; 327 against 235 ms at (2,7), 924,385.
+# So of graph-build's (2,q) and (3,2), only (2,7) and larger split
+ROW_ADDITIONS_PER_WORKER = 1 << 16
 
 # bin() digits to the 0/1 bytes itertools.compress selects by
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -205,12 +208,12 @@ def _worker_count(additions: int) -> int:
     return max(1, min(cpus, additions // ROW_ADDITIONS_PER_WORKER))
 
 
-def _split_rows(adj: list[int], degree: int, flip: int, workers: int, found) -> bool:
-    """_pairwise_rows over every row, the rows after the head in workers ranges.
+def _split_rows(adj: list[int], degree: int, flip: int, found) -> bool:
+    """_pairwise_rows over every row, the rows after the head in ranges.
 
     The head, rows 0, 1, ..., runs in process until found holds no None.
-    The rows after it are cut into at most workers contiguous ranges: the
-    first runs in process, each other one in a forked child, or in process
+    The rows after it are cut into at most _worker_count contiguous ranges:
+    the first runs in process, each other one in a forked child, or in process
     too if its fork fails.  Once the head has found a row that differs, or
     used up every row, nothing is forked.  Every child is reaped before this
     returns or raises, killed first unless it has exited; a child that exits
@@ -222,6 +225,7 @@ def _split_rows(adj: list[int], degree: int, flip: int, workers: int, found) -> 
         if not _pairwise_rows(adj, degree, flip, [start], found):
             return False
         start += 1
+    workers = _worker_count(order * (order - degree if flip else degree))
     cuts = [start + (order - start) * w // workers for w in range(workers + 1)]
     ranges = [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
     own = ranges[:1]
@@ -292,44 +296,32 @@ class CayleyGraph:
         ordered pair is checked.  The adjacency relation must be symmetric,
         as that of a Cayley graph is.
 
-        Rows 0, 1, ... are checked in process until lambda and mu are both
-        fixed; every later row is a yes/no check against them, so the
-        result is the same however those rows are shared out.  They are cut
-        into W contiguous ranges, W the smaller of the CPUs the process may
-        run on and the row additions over ROW_ADDITIONS_PER_WORKER (1
-        without os.fork or os.sched_getaffinity).  Ranges 2..W run in forked
-        children, range 1 in process.  Every child is reaped before this
-        returns; a failed child raises RuntimeError.
+        The rows after those that fix lambda and mu may be shared out among
+        forked children; see the module docstring.
         """
-        return _pairwise_srg_test(self.adjacency)
-
-
-def _pairwise_srg_test(adj: list[int], workers: int | None = None) -> PairwiseSrgResult:
-    """CayleyGraph.pairwise_srg_test on adj, in workers ranges if given."""
-    order = len(adj)
-    degrees = {bits.bit_count() for bits in adj}
-    if len(degrees) != 1:
-        return PairwiseSrgResult(order, None, None, None, False, note="not regular")
-    degree = degrees.pop()
-    every = (1 << order) - 1
-    if all(bits == every ^ (1 << i) for i, bits in enumerate(adj)):
-        # every pair is adjacent, with order - 2 common neighbors
-        return PairwiseSrgResult(
-            order, degree, order - 2, None, False,
-            note="complete graph: no non-adjacent pairs",
-        )
-    # a dense graph sums the rows of each row's non-neighbors instead
-    flip = every if 2 * degree > order else 0
-    if workers is None:
-        workers = _worker_count(order * (order - degree if flip else degree))
-    found = [None, None]  # lambda, mu
-    if not _split_rows(adj, degree, flip, workers, found) or None in found:
-        return PairwiseSrgResult(
-            order, degree, None, None, False,
-            note="common-neighbor counts vary within a class",
-        )
-    lam, mu = found
-    return PairwiseSrgResult(order, degree, lam, mu, True)
+        adj = self.adjacency
+        order = len(adj)
+        degrees = {bits.bit_count() for bits in adj}
+        if len(degrees) != 1:
+            return PairwiseSrgResult(order, None, None, None, False, note="not regular")
+        degree = degrees.pop()
+        every = (1 << order) - 1
+        if all(bits == every ^ (1 << i) for i, bits in enumerate(adj)):
+            # every pair is adjacent, with order - 2 common neighbors
+            return PairwiseSrgResult(
+                order, degree, order - 2, None, False,
+                note="complete graph: no non-adjacent pairs",
+            )
+        # a dense graph sums the rows of each row's non-neighbors instead
+        flip = every if 2 * degree > order else 0
+        found = [None, None]  # lambda, mu
+        if not _split_rows(adj, degree, flip, found) or None in found:
+            return PairwiseSrgResult(
+                order, degree, None, None, False,
+                note="common-neighbor counts vary within a class",
+            )
+        lam, mu = found
+        return PairwiseSrgResult(order, degree, lam, mu, True)
 
 
 def explicit_graph_build(

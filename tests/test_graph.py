@@ -25,7 +25,7 @@ from unicayley import (
     srg_decide,
 )
 from unicayley.census import SrgWitness
-from unicayley.graph import CayleyGraph, PairwiseSrgResult, _column_sums, _pairwise_srg_test
+from unicayley.graph import CayleyGraph, PairwiseSrgResult, _column_sums
 
 from helpers import (
     all_matrices,
@@ -554,76 +554,87 @@ def _cube(dim):
     return _rows(1 << dim, lambda i, j: (i ^ j).bit_count() == 1)
 
 
+@pytest.fixture
+def split(monkeypatch):
+    # split(adj, w) runs the pairwise test on adj with its rows after the
+    # head cut into w ranges
+    def run(adj, w):
+        monkeypatch.setattr(graph, "_worker_count", lambda additions: w)
+        return CayleyGraph(adj).pairwise_srg_test()
+
+    return run
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("family", PAIRWISE_FAMILIES)
-def test_split_equals_pair_by_pair_reference(family, workers):
+def test_split_equals_pair_by_pair_reference(split, family, workers):
     # as test_pairwise_equals_pair_by_pair_reference, with the rows cut into
     # ranges run by forked children
     for adj in PAIRWISE_FAMILIES[family]:
         every = (1 << len(adj)) - 1
         for rows in (adj, [every ^ bits for bits in adj],
                      [every ^ bits ^ (1 << i) for i, bits in enumerate(adj)]):
-            assert _pairwise_srg_test(rows, workers) == _pairwise_by_pairs(rows)
+            assert split(rows, workers) == _pairwise_by_pairs(rows)
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_rows_with_one_class_match_the_head(workers):
+def test_rows_with_one_class_match_the_head(split, workers):
     # two K2 and four vertices with only a loop: row 0 fixes lambda and mu,
     # and a loop's row, which has no neighbor class, is checked on mu alone
     adj = _union(_cliques(2, 2), _cliques(1, 4, loops=True))
-    assert _pairwise_srg_test(adj, workers) == _pairwise_by_pairs(adj) == (
+    assert split(adj, workers) == _pairwise_by_pairs(adj) == (
         PairwiseSrgResult(8, 1, 0, 0, True))
     # no symmetric graph has a row with only a neighbor class beside one
     # with only a non-neighbor class; these asymmetric rows (0 -> 1, 1 -> 1)
     # do, so the head takes lambda from row 0 and mu from row 1, and with
     # no row left it forks nothing
-    assert _pairwise_srg_test([0b10, 0b10], workers) == _pairwise_srg_test(
+    assert split([0b10, 0b10], workers) == split(
         [0b10, 0b10], 1) == PairwiseSrgResult(2, 1, 1, 0, True)
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_split_reads_a_vary_from_a_child(workers):
+def test_split_reads_a_vary_from_a_child(split, workers):
     # four K4 then the 3-cube, all 3-regular: the rows of the cliques agree
     # on (2, 0), and only the cube's rows, the last third, vary
     adj = _union(*[_cliques(4, 1)] * 4, _cube(3))
-    assert not graph._split_rows(adj, 3, 0, 1, [None, None])
+    vary = VARY._replace(order=24, degree=3)
+    assert split(adj, 1) == vary
     found = [None, None]
     assert graph._pairwise_rows(adj, 3, 0, range(16), found) and found == [2, 0]
-    assert _pairwise_srg_test(adj, workers) == _pairwise_by_pairs(adj) == (
-        VARY._replace(order=24, degree=3))
+    assert split(adj, workers) == _pairwise_by_pairs(adj) == vary
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_split_stops_at_a_vary_in_its_own_range(workers):
+def test_split_stops_at_a_vary_in_its_own_range(split, workers):
     # a K4 first fixes (2, 0), then the cube: the parent's own range varies,
     # and it kills and reaps its children without reading them
     adj = _union(_cliques(4, 1), _cube(3), *[_cliques(4, 1)] * 3)
-    assert _pairwise_srg_test(adj, workers) == VARY._replace(order=24, degree=3)
+    assert split(adj, workers) == VARY._replace(order=24, degree=3)
     _assert_no_child_left()
 
 
-def test_split_raises_when_a_child_fails(monkeypatch):
+def test_split_raises_when_a_child_fails(monkeypatch, split):
     def fail(rows, parent):
         raise OSError("worker failed")
         yield
 
     monkeypatch.setattr(graph, "_while_parent_lives", fail)
     with pytest.raises(RuntimeError, match=r"pairwise worker \d+ failed \(exit code 1\)"):
-        _pairwise_srg_test(_paley(13), 2)
+        split(_paley(13), 2)
     _assert_no_child_left()
 
 
-def test_split_keeps_a_range_whose_fork_fails(monkeypatch):
+def test_split_keeps_a_range_whose_fork_fails(monkeypatch, split):
     # with no process to spare, every range runs in process
     def fail():
         raise BlockingIOError("Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", fail)
     for adj in (_paley(13), _union(*[_cliques(4, 1)] * 4, _cube(3))):
-        assert _pairwise_srg_test(adj, 3) == _pairwise_by_pairs(adj)
+        assert split(adj, 3) == _pairwise_by_pairs(adj)
     _assert_no_child_left()
 
 
@@ -631,7 +642,7 @@ def test_split_keeps_a_range_whose_fork_fails(monkeypatch):
     (2, [range(6, 8)]),
     (3, [range(6, 7), range(7, 8)]),
 ])
-def test_split_fixes_lambda_and_mu_before_it_forks(monkeypatch, workers, forked):
+def test_split_fixes_lambda_and_mu_before_it_forks(monkeypatch, split, workers, forked):
     # four looped vertices, then two K2: a loop's row has no neighbor class,
     # so the head reads rows 0-4 before row 4 fixes lambda, and rows 5-7 are
     # shared out with both counts known
@@ -644,24 +655,24 @@ def test_split_fixes_lambda_and_mu_before_it_forks(monkeypatch, workers, forked)
         return fork_rows(adj, degree, flip, rows, found)
 
     monkeypatch.setattr(graph, "_fork_rows", record)
-    assert _pairwise_srg_test(adj, workers) == _pairwise_by_pairs(adj) == (
+    assert split(adj, workers) == _pairwise_by_pairs(adj) == (
         PairwiseSrgResult(8, 1, 0, 0, True))
     assert seen == [(rows, [0, 0]) for rows in forked]
     _assert_no_child_left()
 
 
-def test_split_raises_when_a_child_is_killed(monkeypatch):
+def test_split_raises_when_a_child_is_killed(monkeypatch, split):
     def kill(rows, parent):
         os.kill(os.getpid(), signal.SIGKILL)
         yield
 
     monkeypatch.setattr(graph, "_while_parent_lives", kill)
     with pytest.raises(RuntimeError, match=r"pairwise worker \d+ failed \(exit code -9\)"):
-        _pairwise_srg_test(_paley(13), 2)
+        split(_paley(13), 2)
     _assert_no_child_left()
 
 
-def test_split_forks_nothing_once_the_head_has_settled(monkeypatch):
+def test_split_forks_nothing_once_the_head_has_settled(monkeypatch, split):
     # (3,2)'s row 0 already varies, and each row of the asymmetric pair
     # (0 -> 1, 1 -> 1) fixes one count, so the head uses up every row.  An
     # AssertionError is no OSError: no fork can fall back to running in
@@ -671,8 +682,8 @@ def test_split_forks_nothing_once_the_head_has_settled(monkeypatch):
 
     adj = explicit_graph_build(3, F2).adjacency
     monkeypatch.setattr(os, "fork", fork)
-    assert _pairwise_srg_test(adj, 2) == VARY._replace(order=512, degree=168)
-    assert _pairwise_srg_test([0b10, 0b10], 2) == PairwiseSrgResult(2, 1, 1, 0, True)
+    assert split(adj, 2) == VARY._replace(order=512, degree=168)
+    assert split([0b10, 0b10], 2) == PairwiseSrgResult(2, 1, 1, 0, True)
     _assert_no_child_left()
 
 
@@ -687,14 +698,13 @@ def test_worker_count_follows_cpus_and_work(monkeypatch):
     per = graph.ROW_ADDITIONS_PER_WORKER
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     assert [graph._worker_count(k * per) for k in (0, 1, 2, 3, 100)] == [1, 1, 2, 3, 3]
-    # graph-build keeps (2,2) and (2,3) in process and splits (2,4), (2,5)
-    # and (2,7); (3,2) would split, but its row 0 already varies, so the
-    # head forks nothing (test_split_forks_nothing_once_the_head_has_settled)
+    # graph-build keeps (2,2), (2,3), (2,4), (2,5) and (3,2) in process and
+    # splits (2,7); two ranges made (2,4) slower and (2,5) no faster
     assert graph._worker_count(2 ** 4 * gl_order(2, 2)) == 1
     assert graph._worker_count(3 ** 4 * (3 ** 4 - gl_order(2, 3))) == 1
-    assert graph._worker_count(4 ** 4 * (4 ** 4 - gl_order(2, 4))) == 2
-    assert graph._worker_count(5 ** 4 * (5 ** 4 - gl_order(2, 5))) == 3
-    assert graph._worker_count(2 ** 9 * gl_order(3, 2)) == 3
+    assert graph._worker_count(4 ** 4 * (4 ** 4 - gl_order(2, 4))) == 1
+    assert graph._worker_count(5 ** 4 * (5 ** 4 - gl_order(2, 5))) == 1
+    assert graph._worker_count(2 ** 9 * gl_order(3, 2)) == 1
     assert graph._worker_count(7 ** 4 * (7 ** 4 - gl_order(2, 7))) == 3
     monkeypatch.delattr(os, "sched_getaffinity")
     assert graph._worker_count(100 * per) == 1
