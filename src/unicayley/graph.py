@@ -5,7 +5,7 @@ invertible.  The graph is vertex-transitive and the number of common
 neighbors of two distinct vertices depends only on rank(A - B);
 census.srg_decide decides strong regularity from those per-rank counts.
 This module holds only the explicit graph that checks that decision
-without rank theory; the edge relation is (a - b).determinant() != 0, and
+without rank theory; the edge relation is "a - b is invertible", and
 the pair queries live beside the code they compute with, census (closed
 form) and matrices (enumeration).
 
@@ -348,8 +348,8 @@ def explicit_graph_build(
     check_budget([(order * (order - 1) // 2, 1, 1)], budget,
                  "explicit graph build", unit="vertex pairs")
     blocks = []
-    scan_space(n, field, lambda tail, dets: blocks.append(
-        "".join(["1" if d else "0" for d in reversed(dets)])))
+    scan_space(n, field, lambda tail, units: blocks.append(
+        "".join(["1" if d else "0" for d in reversed(units)])))
     adjacency = [int("".join(reversed(blocks)), 2)]
     p = field.p
     every = (1 << order) - 1

@@ -5,15 +5,15 @@ and canonical indexing of the q^(n^2) matrices of the space (entry (0,0) is
 the least significant base-q digit).  One row reduction, _eliminate, gives
 every rank and every determinant above the closed forms for n <= 3.  Every
 enumeration oracle lives here and counts what census computes in closed
-form, each charged up front.  The shifted-intersection count and the
-common-neighbor count of a pair come from one column-span transfer,
-_transfer_counts, which decides every matrix by its columns' spans and
-never forms one.  A span there is the set of its vectors' codes, so the
-transfer needs no elimination.  _oracle_terms is the one statement of the
-transfer's charge, for census and verify alike.  scan_space is the one
-full-space loop, for the callers that need each matrix: the graph's unit
-set, the rank-1 singularity check and the rank-2 case split; _scan_terms
-states its charge.
+form, each charged up front.  Every one decides invertibility by spans
+from _span_table, a span being the set of its vectors' codes, so none
+eliminates.  The shifted-intersection count and the common-neighbor count
+of a pair come from one column-span transfer, _transfer_counts, which never
+forms a matrix; _oracle_terms states its charge, for census and verify
+alike.  scan_space is the one full-space loop, for the callers that need
+each matrix: the graph's unit set, the rank-1 singularity check and the
+rank-2 case split; it flags a block's units by its tail rows' span, and
+_scan_terms states its charge.
 """
 
 from __future__ import annotations
@@ -118,12 +118,11 @@ def parse_matrix(text: str, field: FieldSpec) -> Matrix:
 def _det_flat(e, n: int, field: FieldSpec) -> int:
     """Determinant of a flat row-major entry sequence.
 
-    Closed forms for n <= 3, with 1 for n = 0 (the empty minor of the n = 1
-    block scan); above that, (-1)^swaps times the product of _eliminate's
-    pivots, or 0 when a column has none.
+    Closed forms for n <= 3; above that, (-1)^swaps times the product of
+    _eliminate's pivots, or 0 when a column has none.
     """
-    if n < 2:
-        return e[0] if n else 1
+    if n == 1:
+        return e[0]
     mt = field.mul_table
     st = field.sub_table
     if n == 2:
@@ -228,53 +227,80 @@ def _iter_flat(size: int, q: int):
 
 
 def first_rows(n: int, field: FieldSpec) -> list[tuple]:
-    """The q^n first rows of a scan_space block, in the order of its dets."""
+    """The q^n first rows of a scan_space block, in the order of its unit flags."""
     return list(_iter_flat(n, field.q))
 
 
-def _block_dets(n: int, field: FieldSpec):
-    """Return dets(tail): the determinants of one block, for every first row.
+def _span_table(n: int, field: FieldSpec):
+    """Return (spaces, extend): the spans of GF(q)^n met so far, and their extensions.
 
-    tail is rows 1..n-1 flat, and entry x of dets(tail) belongs to the first
-    row whose base-q digits, least significant first, are x's.  Expanding
-    along row 0 gives det = sum_j x_j * C_j, C_j = (-1)^j times the minor of
-    tail without column j (1 for n = 1, the empty minor), so the q^n values
-    come from n minors, tabulated one digit x_j at a time.
+    A vector is its index code, coordinate 0 least significant, and a
+    subspace is an id keyed by the frozenset of its vectors' codes, so one
+    span reached two ways is one id, and "U contains v" is a membership test
+    on spaces[u].  extend(u) lists, for every vector v, the id of span(U, v),
+    or None for v in U.  It builds each new span W once, coset by coset: W is
+    U together with U + a v for every a != 0, and every code of W outside U
+    maps to W.  Each list is built on first use and kept for every later
+    call; no elimination, inverse or rank enters.
     """
     q, add, mul = field.q, field.add_table, field.mul_table
-    neg = field.sub_table[0]
-    minors = [[i for i in range(n * n - n) if i % n != j] for j in range(n)]
+    place = [q ** i for i in range(n)]  # a vector's code is sum(digit * place)
+    spaces = [frozenset([0])]
+    ids = {spaces[0]: 0}
+    extensions = {}
 
-    def dets(tail) -> list[int]:
-        out = None
-        for j, positions in enumerate(minors):
-            c = _det_flat([tail[i] for i in positions], n - 1, field)
-            mc = mul[neg[c] if j % 2 else c]
-            if out is None:
-                out = [mc[d] for d in range(q)]
-            elif c == 0:
-                out *= q
-            else:
-                out = [s for d in range(q) for s in map(add[mc[d]].__getitem__, out)]
-        return out
+    def extend(u):
+        if u not in extensions:
+            inside = spaces[u]
+            # each member as the add-table rows of its digits
+            members = [[add[c // p % q] for p in place] for c in inside]
+            out = [None] * q ** n
+            for c, v in enumerate(_iter_flat(n, q)):
+                if c not in inside and out[c] is None:
+                    scale = [mul[y] for y in v]
+                    new = [sum(x[y[a]] * p for x, y, p in zip(m, scale, place))
+                           for a in range(1, q) for m in members]
+                    w = inside.union(new)
+                    if w not in ids:
+                        ids[w] = len(spaces)
+                        spaces.append(w)
+                    for code in new:
+                        out[code] = ids[w]
+            extensions[u] = out
+        return extensions[u]
 
-    return dets
+    return spaces, extend
 
 
 def scan_space(n: int, field: FieldSpec, visit) -> None:
-    """Call visit(tail, dets) once per block of the space, in ascending index order.
+    """Call visit(tail, units) once per block of the space, in ascending index order.
 
     Row 0 holds the n least significant base-q digits of a matrix index, so
     the q^n matrices that share rows 1..n-1 (the flat tuple tail) form one
-    block of consecutive indices; dets lists their determinants in index
-    order, one per row of first_rows(n, field) (see _block_dets).  This is
-    the one full-space loop; callers keep their own tallies.  It charges
-    nothing: each public entry point charges its whole work through
+    block of consecutive indices; units holds their 0/1 invertibility flags
+    in index order, one per row of first_rows(n, field).  M is invertible
+    iff its tail rows are independent and row 0 lies outside their span U,
+    so the scan walks _span_table's extend over the tail rows' codes: a None
+    on the way makes every flag 0, and otherwise the flag of first row c is
+    c not in U.  One bytes object serves every tail that reaches the same
+    span, or none, so callers must not mutate it, and bytes cannot be.
+    This is the one full-space loop; callers keep their own tallies.  It
+    charges nothing: each public entry point charges its whole work through
     errors.check_budget before it builds anything or calls this.
     """
-    dets = _block_dets(n, field)
-    for tail in _iter_flat(n * n - n, field.q):
-        visit(tail, dets(tail))
+    q = field.q
+    spaces, extend = _span_table(n, field)
+    place = [q ** i for i in range(n)]
+    units = {None: bytes(q ** n)}  # a dependent tail: every matrix singular
+    for tail in _iter_flat(n * n - n, q):
+        u = 0
+        for i in range(0, n * n - n, n):
+            u = extend(u)[sum(x * p for x, p in zip(tail[i:i + n], place))]
+            if u is None:
+                break
+        if u not in units:
+            units[u] = bytes([c not in spaces[u] for c in range(q ** n)])
+        visit(tail, units[u])
 
 
 def _scan_terms(n: int, q: int) -> list[tuple[int, int, int]]:
@@ -319,42 +345,16 @@ def _transfer_counts(shifts, sizes: list | None = None) -> list[int]:
     and that last term is q^(n-2) if U != V (two hyperplanes), q^(n-1) if
     U = V contains d, and 0 if U = V does not.
 
-    A subspace is an id keyed by the frozenset of its vectors' codes, so one
-    span reached two ways is one state, and "U contains d" is a membership
-    test.  extend(u) lists, for every vector v, the id of span(U, v), or
-    None for v in U.  It builds each new span W once, coset by coset: W is
-    U together with U + a v for every a != 0, and every code of W outside U
-    maps to W.  That list serves every shift.  No elimination, inverse,
-    rank class, Gaussian binomial or closed form enters, and d may be any
-    matrix.  With a list sizes, the number of states after each of the
-    first n - 1 columns is appended to it for each shift.
+    Spans come from _span_table, whose extension lists serve every shift.
+    No elimination, inverse, rank class, Gaussian binomial or closed form
+    enters, and d may be any matrix.  With a list sizes, the number of
+    states after each of the first n - 1 columns is appended to it for each
+    shift.
     """
     n, field = shifts[0].n, shifts[0].field
-    q, add, sub, mul = field.q, field.add_table, field.sub_table, field.mul_table
-    place = [q ** i for i in range(n)]  # a vector's code is sum(digit * place)
-    spaces = [frozenset([0])]
-    ids = {spaces[0]: 0}
-    extensions = {}
-
-    def extend(u):
-        if u not in extensions:
-            inside = spaces[u]
-            # each member as the add-table rows of its digits
-            members = [[add[c // p % q] for p in place] for c in inside]
-            out = [None] * q ** n
-            for c, v in enumerate(_iter_flat(n, q)):
-                if c not in inside and out[c] is None:
-                    scale = [mul[y] for y in v]
-                    new = [sum(x[y[a]] * p for x, y, p in zip(m, scale, place))
-                           for a in range(1, q) for m in members]
-                    w = inside.union(new)
-                    if w not in ids:
-                        ids[w] = len(spaces)
-                        spaces.append(w)
-                    for code in new:
-                        out[code] = ids[w]
-            extensions[u] = out
-        return extensions[u]
+    q, sub = field.q, field.sub_table
+    place = [q ** i for i in range(n)]
+    spaces, extend = _span_table(n, field)
 
     counts = []
     for shift in shifts:
@@ -437,8 +437,8 @@ def rank2_case_decomposition_oracle(
               for b10, b11 in product(range(field.q), repeat=2)}
     cases = Counter()
 
-    def visit(tail, dets):
-        cases.update(compress(labels[tail[:2]], dets))  # where B is invertible
+    def visit(tail, units):
+        cases.update(compress(labels[tail[:2]], units))  # where B is invertible
 
     scan_space(n, field, visit)
     return cases[0], cases[1], cases[2]

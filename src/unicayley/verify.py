@@ -2,8 +2,9 @@
 
 Each check confirms a count or a lemma by an independent method: a closed
 form against the enumeration oracle, the recursion against the paper's
-forms, the singular-shift criterion against the determinant on every
-matrix, or the rank-class reduction against brute-force common neighbors.
+forms, the singular-shift criterion against the block scan's unit flags
+on every matrix, or the rank-class reduction against brute-force common
+neighbors.
 A check takes (n, field, seed, budget) and returns (passed, detail).
 Every shifted count goes through matrices._transfer_counts, charged by
 matrices._oracle_terms, and every per-matrix scan through matrices.scan_space,
@@ -35,16 +36,15 @@ RANK_REDUCTION_SAMPLES = 50
 
 
 def _check_rank1_singularity(n, field, seed, budget):
-    add = field.add_table
+    inc = field.add_table[1]  # inc[e] = e + 1
     rows = first_rows(n, field)
+    # A + E_11 is the matrix of the same block whose entry 0 is one higher
+    shifted = [c - row[0] + inc[row[0]] for c, row in enumerate(rows)]
     witnesses = []
 
-    def visit(tail, dets):
-        # det is linear in row 0, so det(A + E_11) = det(A) + det of the
-        # first row (1, 0, ..., 0), entry 1 of the block
-        c00 = dets[1]
-        for row, det in zip(rows, dets):
-            lhs = det != 0 and add[det][c00] == 0
+    def visit(tail, units):
+        for row, unit, c in zip(rows, units, shifted):
+            lhs = unit and not units[c]
             flat = row + tail  # entries from the scan: no need to check them
             if lhs != singular_shift_criterion(Matrix._wrap(n, flat, field)):
                 witnesses.append(flat)

@@ -124,7 +124,7 @@ def test_case_formulas_example():
         rank2_case_formulas(2, 2)
 
 
-@pytest.mark.parametrize("field", [F2, F3])
+@pytest.mark.parametrize("field", [F2, F3, F4])
 def test_case_decomposition_matches_formulas_and_total(field):
     cases = rank2_case_decomposition_oracle(3, field)
     assert cases == rank2_case_formulas(3, field.q)
@@ -304,7 +304,7 @@ def test_oracle_counts_scan_nothing(monkeypatch):
         raise AssertionError("an oracle count took a block, a determinant "
                              "or an elimination")
 
-    for name in ("scan_space", "_block_dets", "_det_flat", "_eliminate"):
+    for name in ("scan_space", "_det_flat", "_eliminate"):
         monkeypatch.setattr(matrices, name, refuse)
     a, b = canonical_rank_matrix(3, 0, F3), canonical_rank_matrix(3, 3, F3)
     assert rank_counts(3, F3, 1, "oracle")[0] == rank_counts(3, F3, 1, "formula")[0]
