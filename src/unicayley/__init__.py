@@ -39,7 +39,6 @@ _HOMES = {
         "index_to_matrix",
         "parse_matrix",
         "rank2_case_decomposition_oracle",
-        "singular_shift_criterion",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

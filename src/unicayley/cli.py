@@ -1,10 +1,13 @@
 """Command-line front end: census, verification, and SRG decisions.
 
 Exit codes: 0 success (an SRG verdict of "no" is still success), 1 a
-verification check failed, 2 usage error, 3 budget exceeded (an enumeration
-too large, or closed-form counts too long to print), 141 stdout was closed
-before all output was written (128 + SIGPIPE, as a shell reports for
-`yes | head`; nothing is printed).
+verification check failed (a verify check, a census --method both rank
+that disagrees, or an internal mismatch: srg_decide's degree or parameter
+check, or a failed pairwise worker), 2 usage error, 3 budget exceeded (an
+enumeration too large, or closed-form counts too long to print), 4 out of
+memory, 130 interrupted (128 + SIGINT), 141 stdout was closed before all
+output was written (128 + SIGPIPE, as a shell reports for `yes | head`;
+nothing is printed).  No exit prints a traceback.
 A result depends only on argv: identical flags (including --seed and
 --budget) produce byte-identical output and the same exit code.  The one
 input outside argv is the interpreter's own PYTHONINTMAXSTRDIGITS limit,
@@ -189,7 +192,7 @@ def _cmd_census(args, budget) -> int:
             print(f"n={rec.n} q={rec.q} rank={rec.rank} {rec.method}: {rec.count}")
         for r in sorted(agrees):
             print(f"rank {r}: {'agree' if agrees[r] else 'DISAGREE'}")
-    return 0
+    return 0 if all(agrees.values()) else 1
 
 
 # --- verify -------------------------------------------------------------------
@@ -421,6 +424,15 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # an internal mismatch, a failed check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 4
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except BrokenPipeError:
         # the reader has gone; point stdout at devnull so that the
         # interpreter's flush at exit cannot raise again

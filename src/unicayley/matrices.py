@@ -1,19 +1,19 @@
 """Exact dense n x n matrices over a FieldSpec, and the enumeration oracles.
 
-Covers difference, rank, determinant, the paper's singular-shift lemma,
-and canonical indexing of the q^(n^2) matrices of the space (entry (0,0) is
-the least significant base-q digit).  One row reduction, _eliminate, gives
-every rank and every determinant above the closed forms for n <= 3.  Every
-enumeration oracle lives here and counts what census computes in closed
-form, each charged up front.  Every one decides invertibility by spans
-from _span_table, a span being the set of its vectors' codes, so none
-eliminates.  The shifted-intersection count and the common-neighbor count
-of a pair come from one column-span transfer, _transfer_counts, which never
-forms a matrix; _oracle_terms states its charge, for census and verify
-alike.  scan_space is the one full-space loop, for the callers that need
-each matrix: the graph's unit set, the rank-1 singularity check and the
-rank-2 case split; it flags a block's units by its tail rows' span, and
-_scan_terms states its charge.
+Covers difference, rank, determinant and canonical indexing of the
+q^(n^2) matrices of the space (entry (0,0) is the least significant base-q
+digit).  Each question has one engine: one row reduction, _eliminate,
+gives the rank and determinant of one matrix, and _span_table's spans, a
+span being the set of its vectors' codes, answer for a whole space.  Every
+enumeration oracle lives here, counts what census computes in closed form,
+is charged up front and never eliminates.  The shifted-intersection count
+and the common-neighbor count of a pair come from one column-span transfer,
+_transfer_counts, which never forms a matrix; _oracle_terms states its
+charge, for census and verify alike.  scan_space is the one full-space
+loop, for the callers that need each matrix: the graph's unit set, the
+rank-1 singularity check, which decides the paper's singular-shift lemma by
+column spans in _shift_criterion, and the rank-2 case split; it flags a
+block's units by its tail rows' span, and _scan_terms states its charge.
 """
 
 from __future__ import annotations
@@ -69,13 +69,24 @@ class Matrix:
             self.field,
         )
 
+    def _reduce(self) -> tuple[list[int], int]:
+        n = self.n
+        return _eliminate([list(self.entries[i * n:(i + 1) * n]) for i in range(n)],
+                          self.field)
+
     def determinant(self) -> int:
-        return _det_flat(self.entries, self.n, self.field)
+        """(-1)^swaps times the product of the pivots, or 0 when a column has none."""
+        pivots, swaps = self._reduce()
+        if len(pivots) < self.n:
+            return 0
+        mul = self.field.mul_table
+        det = self.field.sub_table[0][1] if swaps % 2 else 1
+        for pv in pivots:
+            det = mul[det][pv]
+        return det
 
     def rank(self) -> int:
-        n = self.n
-        rows = [list(self.entries[i * n:(i + 1) * n]) for i in range(n)]
-        return len(_eliminate(rows, self.field)[0])
+        return len(self._reduce()[0])
 
     def to_literal(self) -> str:
         n = self.n
@@ -115,34 +126,6 @@ def parse_matrix(text: str, field: FieldSpec) -> Matrix:
 # --- elimination kernels ------------------------------------------------------
 
 
-def _det_flat(e, n: int, field: FieldSpec) -> int:
-    """Determinant of a flat row-major entry sequence.
-
-    Closed forms for n <= 3; above that, (-1)^swaps times the product of
-    _eliminate's pivots, or 0 when a column has none.
-    """
-    if n == 1:
-        return e[0]
-    mt = field.mul_table
-    st = field.sub_table
-    if n == 2:
-        return st[mt[e[0]][e[3]]][mt[e[1]][e[2]]]
-    if n == 3:
-        a, b, c, d, x, f, g, h, i = e
-        m1 = st[mt[x][i]][mt[f][h]]
-        m2 = st[mt[d][i]][mt[f][g]]
-        m3 = st[mt[d][h]][mt[x][g]]
-        return field.add_table[st[mt[a][m1]][mt[b][m2]]][mt[c][m3]]
-    rows = [list(e[r * n:(r + 1) * n]) for r in range(n)]
-    pivots, swaps = _eliminate(rows, field)
-    if len(pivots) < n:
-        return 0
-    det = st[0][1] if swaps % 2 else 1
-    for pv in pivots:
-        det = mt[det][pv]
-    return det
-
-
 def _eliminate(rows: list[list[int]], field: FieldSpec) -> tuple[list[int], int]:
     """Row-reduce a nonempty rectangular list-of-rows in place.
 
@@ -179,28 +162,6 @@ def _eliminate(rows: list[list[int]], field: FieldSpec) -> tuple[list[int], int]
                 for j in range(col, width):
                     rr[j] = sub[rr[j]][mc[prow[j]]]
     return pivots, swaps
-
-
-def singular_shift_criterion(a: Matrix) -> bool:
-    """Determinant-and-span test equivalent to "A invertible, A + E_11 singular".
-
-    With columns a_1..a_n of A and v_1 = (1, 0, ..., 0)^T, this holds iff
-    det(v_1, a_2, ..., a_n) != 0 and a_1 + v_1 lies in span(a_2, ..., a_n).
-    A nonzero determinant makes a_2..a_n independent, so their span has rank
-    n - 1 without a second elimination: a_1 + v_1 lies in it iff the
-    augmented matrix [a_2 ... a_n | a_1 + v_1] still has rank n - 1.
-    """
-    n = a.n
-    f = a.field
-    flat = list(a.entries)
-    for i in range(n):
-        flat[i * n] = 1 if i == 0 else 0
-    if _det_flat(flat, n, f) == 0:
-        return False
-    e = a.entries
-    augmented = [[*e[i * n + 1:(i + 1) * n], e[i * n]] for i in range(n)]
-    augmented[0][-1] = f.add_table[e[0]][1]
-    return len(_eliminate(augmented, f)[0]) == n - 1
 
 
 # --- canonical enumeration ----------------------------------------------------
@@ -270,6 +231,24 @@ def _span_table(n: int, field: FieldSpec):
         return extensions[u]
 
     return spaces, extend
+
+
+def _shift_criterion(spaces, extend, first: int, rest) -> bool:
+    """The paper's singular-shift criterion on column codes, by _span_table's spans.
+
+    rest holds the codes of columns a_2..a_n of A and first the code of
+    a_1 + v_1, with v_1 = (1, 0, ..., 0)^T of code 1.  A is invertible with
+    A + E_11 singular iff det(v_1, a_2, ..., a_n) != 0 and a_1 + v_1 lies in
+    W = span(a_2, ..., a_n): the walk over rest reaches W with no None,
+    W does not hold v_1, and W holds first.  Read by rows, it would restate
+    scan_space's flags, so the rank-1 check stays an independent test.
+    """
+    w = 0
+    for code in rest:
+        w = extend(w)[code]
+        if w is None:
+            return False
+    return 1 not in spaces[w] and first in spaces[w]
 
 
 def scan_space(n: int, field: FieldSpec, visit) -> None:
@@ -421,13 +400,14 @@ def rank2_case_decomposition_oracle(
         raise ValueError(f"case split needs n >= 3, got {n}")
     check_budget(_scan_terms(n, field.q), budget,
                  f"rank-2 case decomposition over M_{n}({field!r})")
-    inc = field.add_table[1]  # inc[e] = e + 1
+    inc, mul = field.add_table[1], field.mul_table  # inc[e] = e + 1
 
     def case(b00, b01, b10, b11):
-        # the label of the leading block B1, 3 when B1 + I_2 is singular
-        if _det_flat((inc[b00], b01, b10, inc[b11]), 2, field) == 0:
+        # the label of the leading block B1, 3 when B1 + I_2 is singular:
+        # a 2 x 2 block is singular iff its two diagonal products are equal
+        if mul[inc[b00]][inc[b11]] == mul[b01][b10]:
             return 3
-        if _det_flat((b00, b01, b10, b11), 2, field) != 0:
+        if mul[b00][b11] != mul[b01][b10]:
             return 0
         return 1 if b00 == b01 == b10 == b11 == 0 else 2
 

@@ -2,9 +2,9 @@
 
 Each check confirms a count or a lemma by an independent method: a closed
 form against the enumeration oracle, the recursion against the paper's
-forms, the singular-shift criterion against the block scan's unit flags
-on every matrix, or the rank-class reduction against brute-force common
-neighbors.
+forms, the singular-shift criterion by column spans against the block
+scan's unit flags on every matrix, or the rank-class reduction against
+brute-force common neighbors.
 A check takes (n, field, seed, budget) and returns (passed, detail).
 Every shifted count goes through matrices._transfer_counts, charged by
 matrices._oracle_terms, and every per-matrix scan through matrices.scan_space,
@@ -26,10 +26,10 @@ from .census import (
 )
 from .matrices import (
     Matrix,
+    _shift_criterion,
     first_rows,
     index_to_matrix,
     rank2_case_decomposition_oracle,
-    singular_shift_criterion,
 )
 
 RANK_REDUCTION_SAMPLES = 50
@@ -40,14 +40,18 @@ def _check_rank1_singularity(n, field, seed, budget):
     rows = first_rows(n, field)
     # A + E_11 is the matrix of the same block whose entry 0 is one higher
     shifted = [c - row[0] + inc[row[0]] for c, row in enumerate(rows)]
+    spaces, extend = matrices._span_table(n, field)
+    place = [field.q ** i for i in range(1, n)]  # the code places of rows 1..n-1
     witnesses = []
 
     def visit(tail, units):
+        # column j's code is row[j] plus the tail's share, rows 1..n-1
+        share = [sum(x * p for x, p in zip(tail[j::n], place)) for j in range(n)]
         for row, unit, c in zip(rows, units, shifted):
             lhs = unit and not units[c]
-            flat = row + tail  # entries from the scan: no need to check them
-            if lhs != singular_shift_criterion(Matrix._wrap(n, flat, field)):
-                witnesses.append(flat)
+            rest = [x + s for x, s in zip(row[1:], share[1:])]
+            if lhs != _shift_criterion(spaces, extend, inc[row[0]] + share[0], rest):
+                witnesses.append(row + tail)
 
     matrices.scan_space(n, field, visit)
     total = field.q ** (n * n)

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: every matrix of a space, reference
-matrix arithmetic, seeded random matrices, fresh interpreters."""
+matrix arithmetic, the singular-shift criterion by elimination and by
+spans, seeded random matrices, fresh interpreters."""
 
 import os
 import subprocess
@@ -8,6 +9,7 @@ from itertools import product
 from pathlib import Path
 
 from unicayley import Matrix, index_to_matrix
+from unicayley.matrices import _shift_criterion
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -42,6 +44,33 @@ def matrix_product(a, b):
     return Matrix(n, out, a.field)
 
 
+def singular_shift_criterion(a):
+    """The reference for "A invertible, A + E_11 singular", by elimination.
+
+    With columns a_1..a_n of A and v_1 = (1, 0, ..., 0)^T, this holds iff
+    det(v_1, a_2, ..., a_n) != 0 and a_1 + v_1 lies in span(a_2, ..., a_n).
+    A nonzero determinant makes a_2..a_n independent, so a_1 + v_1 lies in
+    their span iff [a_2 ... a_n | a_1 + v_1] still has rank n - 1.
+    """
+    n, field, e = a.n, a.field, a.entries
+    flat = list(e)
+    for i in range(n):
+        flat[i * n] = int(i == 0)
+    if Matrix(n, flat, field).determinant() == 0:
+        return False
+    augmented = [x for i in range(n) for x in (*e[i * n + 1:(i + 1) * n], e[i * n])]
+    augmented[n - 1] = field.add_table[e[0]][1]
+    return Matrix(n, augmented, field).rank() == n - 1
+
+
+def span_shift_criterion(a, spaces, extend):
+    """matrices._shift_criterion on a's column codes, over one _span_table."""
+    n, q = a.n, a.field.q
+    codes = [sum(a.entries[i * n + j] * q ** i for i in range(n)) for j in range(n)]
+    first = codes[0] - a.entries[0] + a.field.add_table[a.entries[0]][1]
+    return _shift_criterion(spaces, extend, first, codes[1:])
+
+
 def matrix_index(m):
     """Position of m in the canonical enumeration: entry (0,0) least significant."""
     return sum(e * m.field.q ** i for i, e in enumerate(m.entries))
@@ -73,9 +102,12 @@ def _env():
     return dict(os.environ, PYTHONPATH=str(SRC))
 
 
-def run_python(*args):
-    """Run a fresh interpreter on args; return (exit code, stdout, stderr)."""
-    proc = subprocess.run([sys.executable, *args], env=_env(),
+def run_python(*args, preexec_fn=None):
+    """Run a fresh interpreter on args; return (exit code, stdout, stderr).
+
+    preexec_fn runs in the child alone, before the interpreter starts.
+    """
+    proc = subprocess.run([sys.executable, *args], env=_env(), preexec_fn=preexec_fn,
                           capture_output=True, text=True, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -87,6 +119,6 @@ def popen_module(*argv):
                             stderr=subprocess.PIPE)
 
 
-def run_module(*argv):
+def run_module(*argv, preexec_fn=None):
     """`python -m unicayley argv`: __main__.py exits with main()'s code."""
-    return run_python("-m", "unicayley", *argv)
+    return run_python("-m", "unicayley", *argv, preexec_fn=preexec_fn)

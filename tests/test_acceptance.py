@@ -24,7 +24,7 @@ from unicayley import (
 )
 from unicayley.cli import main
 
-from helpers import all_matrices, matrix_sum
+from helpers import all_matrices, matrix_sum, span_shift_criterion
 
 
 def report(number, name, ok, detail=""):
@@ -148,16 +148,17 @@ def test_criterion_6_rank_class_law():
 
 
 def test_criterion_7_singularity_criterion_equivalence():
-    from unicayley import canonical_rank_matrix, singular_shift_criterion
+    from unicayley.matrices import _span_table
 
     ok = True
     checked = 0
     for n, q in ((2, 2), (2, 3), (3, 2)):
         field = field_of(q)
         e11 = canonical_rank_matrix(n, 1, field)
+        spaces, extend = _span_table(n, field)
         for a in all_matrices(n, field):
             lhs = a.determinant() != 0 and matrix_sum(a, e11).determinant() == 0
-            if lhs != singular_shift_criterion(a):
+            if lhs != span_shift_criterion(a, spaces, extend):
                 ok = False
             checked += 1
     assert report(7, "invertible-with-singular-shift criterion equivalence", ok,

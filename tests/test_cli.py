@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import resource
+import signal
 import sys
 import time
 from pathlib import Path
@@ -347,8 +349,10 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("check, n, name, fake, detail", [
-    ("rank1-singularity", 2, "singular_shift_criterion",
-     lambda real: lambda m: real(m) != (m.to_literal() == "1,1;0,1"),
+    # 1,1;0,1 is the one matrix with a_1 + v_1 = 0 and a_2 of code 1 + 2 = 3
+    ("rank1-singularity", 2, "_shift_criterion",
+     lambda real: lambda spaces, extend, first, rest:
+         real(spaces, extend, first, rest) != (first == 0 and list(rest) == [3]),
      "1 of 16 matrices split the equivalence; first witness 1,1;0,1"),
     ("rank2-count", 3, "rank2_case_formulas", lambda real: lambda n, q: (0, 0, 0),
      "case split oracle (32, 0, 24) vs formulas (0, 0, 0), total 56"),
@@ -394,6 +398,29 @@ def test_verify_checks_the_recursion_against_the_paper(capsys, monkeypatch, chec
     )
     assert code == 1
     assert "recursion gives -7" in out
+
+
+def test_verify_scans_eliminate_nothing(capsys, monkeypatch):
+    # every scan_space visitor decides by spans: the rank-1 lemma by column
+    # spans, the case split's labels by the products of 2 x 2 blocks
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verify scan eliminated")
+
+    monkeypatch.setattr(matrices, "_eliminate", refuse)
+    for check in ("rank1-singularity", "rank2-count"):
+        code, out, _ = run_cli(capsys, "verify", "--check", check, "--n", "3",
+                               "--field", "2")
+        assert code == 0 and out.startswith(f"PASS {check} (n=3, q=2)"), out
+
+
+def test_census_both_exits_1_when_a_rank_disagrees(capsys, monkeypatch):
+    # a wrong closed form: the disagreement is printed, and it is a failed check
+    monkeypatch.setattr("unicayley.census.shifted_count_recursion",
+                        lambda n, r, q: -7)
+    code, out, err = run_cli(capsys, "census", "--n", "2", "--field", "2",
+                             "--rank", "1", "--method", "both")
+    assert (code, err) == (1, "")
+    assert out.endswith("rank 1: DISAGREE\n")
 
 
 def test_srg_json_verdicts(capsys):
@@ -932,6 +959,36 @@ def test_a_killed_graph_build_leaves_no_process():
     while any(map(running, children)):
         assert time.monotonic() < deadline
         time.sleep(0.002)
+
+
+def test_internal_mismatch_exits_1_with_one_error_line(capsys, monkeypatch):
+    # srg_decide checks the oracle's degree against gl_order
+    monkeypatch.setattr(census, "gl_order", lambda n, q: -1)
+    code, out, err = run_cli(capsys, "srg", "--n", "2", "--field", "2",
+                             "--method", "oracle")
+    assert (code, out) == (1, "")
+    assert err == "error: degree count 6 disagrees with closed form -1\n"
+
+
+def test_out_of_memory_exits_4_without_a_traceback():
+    # 2^16 vertices need 512 MB of adjacency bitsets; the limit is set in
+    # the child alone, so the build runs out of memory there
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+    code, out, err = run_module("graph-build", "--n", "2", "--field", "16",
+                                "--budget", "4294967296", preexec_fn=limit)
+    assert (code, out, err) == (4, "", "error: out of memory\n")
+
+
+def test_interrupt_exits_130_without_a_traceback():
+    # SIGINT to this child alone, about 1 s into an oracle run of 10-20 s
+    with popen_module("srg", "--n", "6", "--field", "2", "--method", "oracle",
+                      "--budget", "481036337152") as proc:
+        time.sleep(1)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (130, b"", b"error: interrupted\n")
 
 
 def test_no_stdout_at_all_is_still_success(monkeypatch):

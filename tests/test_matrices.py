@@ -20,9 +20,8 @@ from unicayley import (
     index_to_matrix,
     make_field,
     parse_matrix,
-    singular_shift_criterion,
 )
-from unicayley.matrices import _det_flat, _eliminate, first_rows, scan_space
+from unicayley.matrices import _eliminate, _span_table, first_rows, scan_space
 from helpers import (
     all_matrices,
     matrix_index,
@@ -31,6 +30,8 @@ from helpers import (
     random_invertible,
     random_matrix,
     run_python,
+    singular_shift_criterion,
+    span_shift_criterion,
 )
 
 F2 = make_field(2)
@@ -86,6 +87,10 @@ def test_determinant_examples():
     assert parse_matrix("1,2;1,2", F3).determinant() == 0
     # 1*1 - 2*2 = -3 = 0 in GF(3)
     assert parse_matrix("1,2;2,1", F3).determinant() == 0
+    # one row exchange: -1 = 2 in GF(3), and -2 = 3 in GF(5)
+    assert parse_matrix("0,1;1,0", F3).determinant() == 2
+    assert parse_matrix("0,1,0;0,0,1;2,0,0", F5).determinant() == 2
+    assert parse_matrix("0,1,0;1,0,0;0,0,2", F5).determinant() == 3
 
 
 def test_rank_examples():
@@ -130,6 +135,7 @@ def test_rank_invariant_under_invertible_factors(n, field):
 
 
 def test_singular_shift_criterion_examples():
+    # the elimination reference the span kernel is checked against;
     # first column -v1, rest the matching unit columns: the zero-combination case
     m = parse_matrix("2,0,0;0,1,0;0,0,1", F3)
     assert singular_shift_criterion(m)
@@ -145,6 +151,21 @@ def test_singular_shift_criterion_matches_predicate(n, field):
     for m in all_matrices(n, field):
         direct = m.determinant() != 0 and matrix_sum(m, e11).determinant() == 0
         assert direct == singular_shift_criterion(m)
+
+
+@pytest.mark.parametrize("n,p,k", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2),
+                                   (3, 3, 1), (1, 3, 6), (1, 2, 8)])
+def test_span_criterion_matches_elimination(n, p, k):
+    # the column-span kernel against the elimination reference, on every
+    # matrix; GF(3^6) lies above TABLE_LIMIT and GF(2^8) at it
+    field = make_field(p, k)
+    spaces, extend = _span_table(n, field)
+    passing = 0
+    for m in all_matrices(n, field):
+        expected = singular_shift_criterion(m)
+        assert span_shift_criterion(m, spaces, extend) == expected, m.to_literal()
+        passing += expected
+    assert passing > 0
 
 
 def test_enumeration_examples():
@@ -187,20 +208,6 @@ def test_matrix_validation():
             parse_matrix(text, F2)
     with pytest.raises(ValueError):
         parse_matrix("0,2;1,0", F2)
-
-
-def test_det_flat_matches_generic_elimination():
-    # the n <= 3 closed forms must agree with the generic elimination path
-    rng = random.Random(5)
-    for n, field in [(2, F3), (3, F4), (3, F5)]:
-        for _ in range(50):
-            m = random_matrix(rng, n, field)
-            # m bordered by the last row and column of the identity
-            big = Matrix(n + 1, [
-                m.entries[i * n + j] if i < n and j < n else int(i == j)
-                for i in range(n + 1) for j in range(n + 1)
-            ], field)
-            assert big.determinant() == m.determinant()
 
 
 @pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=repr)
@@ -279,8 +286,8 @@ def test_only_eliminate_names_the_inverse_table():
 @pytest.mark.parametrize("n,p,k", [(1, 2, 1), (1, 3, 6), (2, 3, 1), (2, 2, 2),
                                    (3, 2, 1), (4, 2, 1)])
 def test_block_dets_equal_per_matrix_determinants(n, p, k):
-    # every matrix's unit flag from its tail's span says whether the
-    # determinant kernel's value is nonzero, in index order, beside its row
+    # every matrix's unit flag from its tail's span says whether its
+    # determinant is nonzero, in index order, beside its row
     # of first_rows; GF(3^6) lies above TABLE_LIMIT
     field = make_field(p, k)
     matrices = all_matrices(n, field)
@@ -292,7 +299,7 @@ def test_block_dets_equal_per_matrix_determinants(n, p, k):
         for row, unit in zip(rows, units, strict=True):
             m = next(matrices)
             assert m.entries == row + tail
-            assert unit == (_det_flat(m.entries, n, field) != 0)
+            assert unit == (m.determinant() != 0)
 
     scan_space(n, field, visit)
     assert next(matrices, None) is None
@@ -347,7 +354,7 @@ def test_public_names_are_pinned():
         "index_to_matrix", "make_field", "parse_matrix",
         "rank1_intersection_formula", "rank2_case_decomposition_oracle",
         "rank2_case_formulas", "rank2_intersection_formula", "rank_counts",
-        "singular_shift_criterion", "srg_decide", "srg_parameters_n2",
+        "srg_decide", "srg_parameters_n2",
     ]
 
 
