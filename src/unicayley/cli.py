@@ -5,9 +5,9 @@ verification check failed (a verify check, a census --method both rank
 that disagrees, or an internal mismatch: srg_decide's degree or parameter
 check, or a failed pairwise worker), 2 usage error, 3 budget exceeded (an
 enumeration too large, or closed-form counts too long to print), 4 out of
-memory, 130 interrupted (128 + SIGINT), 141 stdout was closed before all
-output was written (128 + SIGPIPE, as a shell reports for `yes | head`;
-nothing is printed).  No exit prints a traceback.
+memory (also in a forked pairwise worker), 130 interrupted (128 + SIGINT),
+141 stdout was closed before all output was written (128 + SIGPIPE, as a
+shell reports for `yes | head`; nothing is printed).  No exit prints a traceback.
 A result depends only on argv: identical flags (including --seed and
 --budget) produce byte-identical output and the same exit code.  The one
 input outside argv is the interpreter's own PYTHONINTMAXSTRDIGITS limit,

@@ -28,8 +28,9 @@ ranges, W the smaller of the CPUs the process may run on and the row
 additions over ROW_ADDITIONS_PER_WORKER (1 without os.fork or
 os.sched_getaffinity).  Ranges 2..W run in forked children, each answering
 by its exit status alone, and range 1 in process.  Every child is reaped
-before the test returns or raises, a failed child raises RuntimeError, and
-a child whose parent has gone stops at its next row.
+before the test returns or raises, a child out of memory raises MemoryError
+and any other failed child RuntimeError, and a child whose parent has gone
+stops at its next row.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ ROW_ADDITIONS_PER_WORKER = 1 << 16
 # bin() digits to the 0/1 bytes itertools.compress selects by
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
-# the exit status of a forked child: every row it checked matched, or one
-# did not (1 is left for a child that raised)
-_MATCH, _DIFFER = 0, 3
+# the exit status of a forked child: every row it checked matched, one did
+# not, or it ran out of memory, as the CLI's exit 4 (1 is left for a child
+# that raised anything else)
+_MATCH, _DIFFER, _NO_MEMORY = 0, 3, 4
 
 
 def _column_sums(rows, width: int) -> list[int]:
@@ -185,8 +187,9 @@ def _fork_rows(adj: list[int], degree: int, flip: int, rows, found) -> int:
     """Run _pairwise_rows on rows in a forked child; return its pid.
 
     The child leaves by os._exit, with _MATCH or _DIFFER for what
-    _pairwise_rows returned and 1 if anything raised, so it runs no exit
-    hook and flushes none of the parent's buffers.
+    _pairwise_rows returned, _NO_MEMORY if it raised MemoryError and 1 if
+    it raised anything else, so it runs no exit hook and flushes none of
+    the parent's buffers.
     """
     parent = os.getpid()
     pid = os.fork()
@@ -196,6 +199,8 @@ def _fork_rows(adj: list[int], degree: int, flip: int, rows, found) -> int:
     try:
         rows = _while_parent_lives(rows, parent)
         code = _MATCH if _pairwise_rows(adj, degree, flip, rows, found) else _DIFFER
+    except MemoryError:
+        code = _NO_MEMORY
     finally:
         os._exit(code)
 
@@ -217,7 +222,8 @@ def _split_rows(adj: list[int], degree: int, flip: int, found) -> bool:
     too if its fork fails.  Once the head has found a row that differs, or
     used up every row, nothing is forked.  Every child is reaped before this
     returns or raises, killed first unless it has exited; a child that exits
-    with neither _MATCH nor _DIFFER raises RuntimeError.
+    with _NO_MEMORY raises MemoryError, and one that exits with any other
+    status but _MATCH or _DIFFER raises RuntimeError.
     """
     order = len(adj)
     start = 0
@@ -243,6 +249,8 @@ def _split_rows(adj: list[int], degree: int, flip: int, found) -> bool:
             pid = children.pop(0)
             if code == _DIFFER:
                 return False
+            if code == _NO_MEMORY:
+                raise MemoryError(f"pairwise worker {pid} ran out of memory")
             if code != _MATCH:
                 raise RuntimeError(f"pairwise worker {pid} failed (exit code {code})")
         return True

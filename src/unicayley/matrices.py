@@ -6,20 +6,22 @@ digit).  Each question has one engine: one row reduction, _eliminate,
 gives the rank and determinant of one matrix, and _span_table's spans, a
 span being the set of its vectors' codes, answer for a whole space.  Every
 enumeration oracle lives here, counts what census computes in closed form,
-is charged up front and never eliminates.  The shifted-intersection count
-and the common-neighbor count of a pair come from one column-span transfer,
-_transfer_counts, which never forms a matrix; _oracle_terms states its
-charge, for census and verify alike.  scan_space is the one full-space
-loop, for the callers that need each matrix: the graph's unit set, the
-rank-1 singularity check, which decides the paper's singular-shift lemma by
-column spans in _shift_criterion, and the rank-2 case split; it flags a
-block's units by its tail rows' span, and _scan_terms states its charge.
+is charged up front and never eliminates.  Every count is a column-span
+transfer that never forms a matrix, charged by _oracle_terms for census and
+verify alike: _transfer_counts gives the shifted-intersection count and the
+common-neighbor count of a pair, and rank2_case_decomposition_oracle the
+rank-2 case split, carrying the leading 2 x 2 block's label in its states.
+scan_space is the one full-space loop, for the two callers that need each
+matrix: the graph's unit set and the rank-1 singularity check, which decides
+the paper's singular-shift lemma by column spans in _shift_criterion; it
+flags a block's units by its tail rows' span, and _scan_terms states its
+charge.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, product
+from itertools import product
 
 from .errors import check_budget, check_rank
 from .fields import FieldSpec
@@ -233,22 +235,24 @@ def _span_table(n: int, field: FieldSpec):
     return spaces, extend
 
 
-def _shift_criterion(spaces, extend, first: int, rest) -> bool:
+def _shift_criterion(spaces, extend, rest) -> frozenset:
     """The paper's singular-shift criterion on column codes, by _span_table's spans.
 
-    rest holds the codes of columns a_2..a_n of A and first the code of
-    a_1 + v_1, with v_1 = (1, 0, ..., 0)^T of code 1.  A is invertible with
-    A + E_11 singular iff det(v_1, a_2, ..., a_n) != 0 and a_1 + v_1 lies in
-    W = span(a_2, ..., a_n): the walk over rest reaches W with no None,
-    W does not hold v_1, and W holds first.  Read by rows, it would restate
-    scan_space's flags, so the rank-1 check stays an independent test.
+    rest holds the codes of columns a_2..a_n of A; the result holds the
+    codes of a_1 + v_1, v_1 = (1, 0, ..., 0)^T of code 1, that meet it.  A
+    is invertible with A + E_11 singular iff det(v_1, a_2, ..., a_n) != 0
+    and a_1 + v_1 lies in W = span(a_2, ..., a_n): the walk over rest
+    reaches W with no None, W does not hold v_1, and W holds a_1 + v_1.  So
+    the result is W's member set, or empty, and one walk serves every a_1.
+    Read by rows, it would restate scan_space's flags, so the rank-1 check
+    stays an independent test.
     """
     w = 0
     for code in rest:
         w = extend(w)[code]
         if w is None:
-            return False
-    return 1 not in spaces[w] and first in spaces[w]
+            return frozenset()
+    return frozenset() if 1 in spaces[w] else spaces[w]
 
 
 def scan_space(n: int, field: FieldSpec, visit) -> None:
@@ -263,9 +267,11 @@ def scan_space(n: int, field: FieldSpec, visit) -> None:
     on the way makes every flag 0, and otherwise the flag of first row c is
     c not in U.  One bytes object serves every tail that reaches the same
     span, or none, so callers must not mutate it, and bytes cannot be.
-    This is the one full-space loop; callers keep their own tallies.  It
-    charges nothing: each public entry point charges its whole work through
-    errors.check_budget before it builds anything or calls this.
+    This is the one full-space loop, kept for the checks that need each
+    matrix; every count goes by transfer instead.  Callers keep their own
+    tallies.  It charges nothing: each public entry point charges its
+    whole work through errors.check_budget before it builds anything or
+    calls this.
     """
     q = field.q
     spaces, extend = _span_table(n, field)
@@ -395,12 +401,18 @@ def rank2_case_decomposition_oracle(
     the case split matches rank2_case_formulas; classifying the intersection
     set by its own leading block does not, because inversion scrambles
     leading-block ranks.
+
+    One column-span transfer, charged as one _oracle_terms pass: columns 0
+    and 1 go first, so each state is (span of the columns so far, label of
+    B1), B1 being the top two entries of those two columns.  A pair whose
+    B1 + I_2 is singular is dropped, columns 2..n-2 extend U by every vector
+    outside it, and the last column is counted, not enumerated.
     """
     if n < 3:
         raise ValueError(f"case split needs n >= 3, got {n}")
-    check_budget(_scan_terms(n, field.q), budget,
+    check_budget(_oracle_terms(1, n, field.q), budget,
                  f"rank-2 case decomposition over M_{n}({field!r})")
-    inc, mul = field.add_table[1], field.mul_table  # inc[e] = e + 1
+    q, inc, mul = field.q, field.add_table[1], field.mul_table  # inc[e] = e + 1
 
     def case(b00, b01, b10, b11):
         # the label of the leading block B1, 3 when B1 + I_2 is singular:
@@ -411,14 +423,27 @@ def rank2_case_decomposition_oracle(
             return 0
         return 1 if b00 == b01 == b10 == b11 == 0 else 2
 
-    # B1's rows start a block's first row and its tail: one list per tail start
-    rows = first_rows(n, field)
-    labels = {(b10, b11): [case(x[0], x[1], b10, b11) for x in rows]
-              for b10, b11 in product(range(field.q), repeat=2)}
+    _, extend = _span_table(n, field)
+    # B1 is the top two entries of columns 0 and 1: one list of labels per
+    # top of column 0, indexed by column 1's code
+    tops = [(c % q, c // q % q) for c in range(q ** n)]
+    labels = {(b00, b10): [case(b00, b01, b10, b11) for b01, b11 in tops]
+              for b00, b10 in product(range(q), repeat=2)}
+    pairs = Counter()
+    for c, u in enumerate(extend(0)):
+        if u is not None:
+            pairs.update(zip(extend(u), labels[tops[c]]))
+    states = {(u, label): ways for (u, label), ways in pairs.items()
+              if u is not None and label != 3}
+    for _ in range(2, n - 1):
+        step = Counter()
+        for (u, label), ways in states.items():
+            for w, times in Counter(extend(u)).items():
+                if w is not None:
+                    step[w, label] += times * ways
+        states = step
+    # the last column lies outside a hyperplane: q^n - q^(n-1) ways
     cases = Counter()
-
-    def visit(tail, units):
-        cases.update(compress(labels[tail[:2]], units))  # where B is invertible
-
-    scan_space(n, field, visit)
+    for (u, label), ways in states.items():
+        cases[label] += ways * (q ** n - q ** (n - 1))
     return cases[0], cases[1], cases[2]

@@ -6,10 +6,13 @@ forms, the singular-shift criterion by column spans against the block
 scan's unit flags on every matrix, or the rank-class reduction against
 brute-force common neighbors.
 A check takes (n, field, seed, budget) and returns (passed, detail).
-Every shifted count goes through matrices._transfer_counts, charged by
-matrices._oracle_terms, and every per-matrix scan through matrices.scan_space,
-charged by matrices._scan_terms, all looked up when they run, so a wrapper on
-any of them sees every check.
+Every count goes by column-span transfer, charged by matrices._oracle_terms:
+the shifted counts through matrices._transfer_counts and the rank-2 case
+split through matrices.rank2_case_decomposition_oracle.  The one per-matrix
+check, rank1-singularity, scans through matrices.scan_space, charged by
+matrices._scan_terms.  matrices._transfer_counts, matrices.scan_space and
+both charges are looked up when they run, so a wrapper on any of them sees
+every check that uses it.
 """
 
 from __future__ import annotations
@@ -36,22 +39,24 @@ RANK_REDUCTION_SAMPLES = 50
 
 
 def _check_rank1_singularity(n, field, seed, budget):
-    inc = field.add_table[1]  # inc[e] = e + 1
+    q, inc = field.q, field.add_table[1]  # inc[e] = e + 1
     rows = first_rows(n, field)
-    # A + E_11 is the matrix of the same block whose entry 0 is one higher
-    shifted = [c - row[0] + inc[row[0]] for c, row in enumerate(rows)]
     spaces, extend = matrices._span_table(n, field)
-    place = [field.q ** i for i in range(1, n)]  # the code places of rows 1..n-1
+    place = [q ** i for i in range(1, n)]  # the code places of rows 1..n-1
     witnesses = []
 
     def visit(tail, units):
         # column j's code is row[j] plus the tail's share, rows 1..n-1
         share = [sum(x * p for x, p in zip(tail[j::n], place)) for j in range(n)]
-        for row, unit, c in zip(rows, units, shifted):
-            lhs = unit and not units[c]
-            rest = [x + s for x, s in zip(row[1:], share[1:])]
-            if lhs != _shift_criterion(spaces, extend, inc[row[0]] + share[0], rest):
-                witnesses.append(row + tail)
+        # rows k..k+q-1 differ only in entry (0, 0), so they share a_2..a_n,
+        # and A + E_11 is the row of the same group whose entry 0 is one higher
+        for k in range(0, q ** n, q):
+            rest = [x + s for x, s in zip(rows[k][1:], share[1:])]
+            holds = _shift_criterion(spaces, extend, rest)
+            for x in range(q):
+                lhs = units[k + x] and not units[k + inc[x]]
+                if lhs != (inc[x] + share[0] in holds):
+                    witnesses.append(rows[k + x] + tail)
 
     matrices.scan_space(n, field, visit)
     total = field.q ** (n * n)
@@ -128,7 +133,7 @@ def _check_rank_reduction(n, field, seed, budget):
 
 
 # Each check with its charge at (n, q) as check_budget terms, largest first:
-# matrices._scan_terms for its scans and matrices._oracle_terms for its transfers.
+# matrices._scan_terms for its scan and matrices._oracle_terms for its transfers.
 # The verify command charges their sum before the first check runs, and
 # `--check all` runs them in this order.  perfbench/checks.py::CHECK_NAMES_ALL
 # pins the checks that `--check all` must report, and the benchmark marks any
@@ -138,7 +143,7 @@ CHECKS = {
                           lambda n, q: matrices._scan_terms(n, q)),
     "rank1-count": (_check_rank1_count, lambda n, q: matrices._oracle_terms(1, n, q)),
     "rank2-count": (_check_rank2_count, lambda n, q: matrices._oracle_terms(1, n, q)
-                    + (matrices._scan_terms(n, q) if n >= 3 else [])),  # the case split
+                    + (matrices._oracle_terms(1, n, q) if n >= 3 else [])),  # the case split
     "recurrence": (_check_recurrence, lambda n, q: (
         term for i in range(n, 0, -1) for term in matrices._oracle_terms(1, i, q))),
     "rank-reduction": (_check_rank_reduction, lambda n, q: matrices._oracle_terms(

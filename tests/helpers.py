@@ -1,15 +1,17 @@
 """Shared helpers for the test suite: every matrix of a space, reference
 matrix arithmetic, the singular-shift criterion by elimination and by
-spans, seeded random matrices, fresh interpreters."""
+spans, the rank-2 case split by block scan, seeded random matrices, fresh
+interpreters."""
 
 import os
 import subprocess
 import sys
-from itertools import product
+from collections import Counter
+from itertools import compress, product
 from pathlib import Path
 
 from unicayley import Matrix, index_to_matrix
-from unicayley.matrices import _shift_criterion
+from unicayley.matrices import _shift_criterion, first_rows, scan_space
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -68,7 +70,34 @@ def span_shift_criterion(a, spaces, extend):
     n, q = a.n, a.field.q
     codes = [sum(a.entries[i * n + j] * q ** i for i in range(n)) for j in range(n)]
     first = codes[0] - a.entries[0] + a.field.add_table[a.entries[0]][1]
-    return _shift_criterion(spaces, extend, first, codes[1:])
+    return first in _shift_criterion(spaces, extend, codes[1:])
+
+
+def block_scan_case_split(n, field):
+    """The reference for rank2_case_decomposition_oracle, by scan_space's unit flags.
+
+    Every invertible B whose leading 2 x 2 block B1 keeps B1 + I_2
+    invertible, tallied (rank 2, rank 0, rank 1) by the rank of B1.  Both
+    labels come from Matrix.rank, not from the oracle's 2 x 2 products.
+    """
+    inc = field.add_table[1]  # inc[e] = e + 1
+
+    def label(b00, b01, b10, b11):
+        if Matrix(2, (inc[b00], b01, b10, inc[b11]), field).rank() < 2:
+            return None
+        return Matrix(2, (b00, b01, b10, b11), field).rank()
+
+    # B1's rows start a block's first row and its tail: one list per tail start
+    rows = first_rows(n, field)
+    labels = {(b10, b11): [label(x[0], x[1], b10, b11) for x in rows]
+              for b10, b11 in product(range(field.q), repeat=2)}
+    cases = Counter()
+
+    def visit(tail, units):
+        cases.update(compress(labels[tail[:2]], units))  # where B is invertible
+
+    scan_space(n, field, visit)
+    return cases[2], cases[0], cases[1]
 
 
 def matrix_index(m):

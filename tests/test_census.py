@@ -29,6 +29,7 @@ from unicayley.matrices import _transfer_counts, common_neighbors_bruteforce
 
 from helpers import (
     all_matrices,
+    block_scan_case_split,
     matrix_product,
     random_distinct_pair,
     random_invertible,
@@ -129,6 +130,18 @@ def test_case_decomposition_matches_formulas_and_total(field):
     cases = rank2_case_decomposition_oracle(3, field)
     assert cases == rank2_case_formulas(3, field.q)
     assert sum(cases) == rank_counts(3, field, 2, "oracle")[0]
+
+
+@pytest.mark.parametrize("n,field", [(3, F2), (3, F3), (3, F4), (4, F2)])
+def test_case_transfer_equals_the_block_scan(n, field):
+    # the labelled column transfer against every matrix's unit flag, each
+    # labelled by the ranks of its leading block and of that block plus I_2
+    assert rank2_case_decomposition_oracle(n, field) == block_scan_case_split(n, field)
+
+
+@pytest.mark.parametrize("n,field", [(4, F3), (5, F2)])
+def test_case_transfer_beyond_the_block_scan(n, field):
+    assert rank2_case_decomposition_oracle(n, field) == rank2_case_formulas(n, field.q)
 
 
 def test_case_decomposition_rejects_small_n():

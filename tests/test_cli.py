@@ -349,10 +349,11 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("check, n, name, fake, detail", [
-    # 1,1;0,1 is the one matrix with a_1 + v_1 = 0 and a_2 of code 1 + 2 = 3
+    # 1,1;0,1 is the one matrix with a_1 + v_1 = 0 and a_2 of code 1 + 2 = 3:
+    # the fake flips whether code 0 meets the criterion beside a_2 = 3
     ("rank1-singularity", 2, "_shift_criterion",
-     lambda real: lambda spaces, extend, first, rest:
-         real(spaces, extend, first, rest) != (first == 0 and list(rest) == [3]),
+     lambda real: lambda spaces, extend, rest:
+         real(spaces, extend, rest) ^ ({0} if list(rest) == [3] else set()),
      "1 of 16 matrices split the equivalence; first witness 1,1;0,1"),
     ("rank2-count", 3, "rank2_case_formulas", lambda real: lambda n, q: (0, 0, 0),
      "case split oracle (32, 0, 24) vs formulas (0, 0, 0), total 56"),
@@ -401,8 +402,8 @@ def test_verify_checks_the_recursion_against_the_paper(capsys, monkeypatch, chec
 
 
 def test_verify_scans_eliminate_nothing(capsys, monkeypatch):
-    # every scan_space visitor decides by spans: the rank-1 lemma by column
-    # spans, the case split's labels by the products of 2 x 2 blocks
+    # the rank-1 lemma decides by column spans, and the case split labels
+    # its transfer's states by the products of 2 x 2 blocks
     def refuse(*args, **kwargs):
         raise AssertionError("a verify scan eliminated")
 
@@ -411,6 +412,18 @@ def test_verify_scans_eliminate_nothing(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "verify", "--check", check, "--n", "3",
                                "--field", "2")
         assert code == 0 and out.startswith(f"PASS {check} (n=3, q=2)"), out
+
+
+def test_verify_rank2_count_takes_no_block_scan(capsys, monkeypatch):
+    # the count and its case split are both column-span transfers
+    def no_scan(*args):
+        raise AssertionError("the rank-2 count took a block scan")
+
+    monkeypatch.setattr(matrices, "scan_space", no_scan)
+    code, out, _ = run_cli(capsys, "verify", "--check", "rank2-count", "--n", "3",
+                           "--field", "2")
+    assert code == 0
+    assert out.startswith("PASS rank2-count (n=3, q=2)") and "case split" in out
 
 
 def test_census_both_exits_1_when_a_rank_disagrees(capsys, monkeypatch):
@@ -639,8 +652,8 @@ def test_oracle_refusals_count_their_shifts(capsys):
 
 
 def test_the_oracle_charge_has_one_owner(capsys, monkeypatch):
-    # census and verify both take the transfer's charge from
-    # matrices._oracle_terms, so doubling its shifts doubles both refusals
+    # census, verify and the rank-2 case split take the transfer's charge
+    # from matrices._oracle_terms, so doubling its shifts doubles every refusal
     owner = matrices._oracle_terms
     monkeypatch.setattr(matrices, "_oracle_terms",
                         lambda shifts, n, q: owner(2 * shifts, n, q))
@@ -648,29 +661,31 @@ def test_the_oracle_charge_has_one_owner(capsys, monkeypatch):
         (["census", "--n", "2", "--field", "3", "--method", "oracle"], 2 * 3 * 81),
         (["verify", "--check", "rank-reduction", "--n", "2", "--field", "3"],
          2 * 50 * 81),
+        # the count and the case split, one transfer pass each
+        (["verify", "--check", "rank2-count", "--n", "3", "--field", "2"],
+         2 * 512 + 2 * 512),
     ):
         code, out, err = run_cli(capsys, *argv, "--budget", str(needed - 1))
         assert code == 3, argv
         assert out == ""
         assert f"requires {needed} items" in err, argv
-
-
-def test_the_scan_charge_has_one_owner(capsys, monkeypatch):
-    # verify and the rank-2 case split take a scan_space pass's charge from
-    # matrices._scan_terms, so doubling its count doubles each scan's share
-    owner = matrices._scan_terms
-    monkeypatch.setattr(matrices, "_scan_terms", lambda n, q: [
-        (2 * c, b, e) for c, b, e in owner(n, q)])
-    for check, needed in (("rank2-count", 512 + 2 * 512),
-                          ("rank1-singularity", 2 * 512)):
-        code, out, err = run_cli(capsys, "verify", "--check", check, "--n", "3",
-                                 "--field", "2", "--budget", str(needed - 1))
-        assert code == 3, check
-        assert out == ""
-        assert f"requires {needed} items" in err, check
     with pytest.raises(BudgetExceededError) as exc:
         rank2_case_decomposition_oracle(3, make_field(2), budget=2 * 512 - 1)
     assert exc.value.required == 2 * 512
+
+
+def test_the_scan_charge_has_one_owner(capsys, monkeypatch):
+    # verify takes a scan_space pass's charge from matrices._scan_terms, so
+    # doubling its count doubles the scan's share
+    owner = matrices._scan_terms
+    monkeypatch.setattr(matrices, "_scan_terms", lambda n, q: [
+        (2 * c, b, e) for c, b, e in owner(n, q)])
+    needed = 2 * 512
+    code, out, err = run_cli(capsys, "verify", "--check", "rank1-singularity",
+                             "--n", "3", "--field", "2", "--budget", str(needed - 1))
+    assert code == 3
+    assert out == ""
+    assert f"requires {needed} items" in err
 
 
 def test_oracle_queries_make_one_transfer_call(capsys, monkeypatch):
@@ -978,6 +993,19 @@ def test_out_of_memory_exits_4_without_a_traceback():
 
     code, out, err = run_module("graph-build", "--n", "2", "--field", "16",
                                 "--budget", "4294967296", preexec_fn=limit)
+    assert (code, out, err) == (4, "", "error: out of memory\n")
+
+
+def test_a_worker_out_of_memory_exits_4(capsys, monkeypatch):
+    # the rows after row 0 go to two processes, and only the forked child
+    # runs out of memory: the parent reads it from the child's exit status
+    def out_of_memory(rows, parent):
+        raise MemoryError
+        yield
+
+    monkeypatch.setattr(graph, "_worker_count", lambda additions: 2)
+    monkeypatch.setattr(graph, "_while_parent_lives", out_of_memory)
+    code, out, err = run_cli(capsys, "graph-build", "--n", "2", "--field", "3")
     assert (code, out, err) == (4, "", "error: out of memory\n")
 
 

@@ -627,6 +627,19 @@ def test_split_raises_when_a_child_fails(monkeypatch, split):
     _assert_no_child_left()
 
 
+def test_split_raises_memory_error_when_a_child_runs_out(monkeypatch, split):
+    # only a child walks _while_parent_lives, so the parent's own range runs
+    # and the child's MemoryError comes back as its own exit status
+    def out_of_memory(rows, parent):
+        raise MemoryError
+        yield
+
+    monkeypatch.setattr(graph, "_while_parent_lives", out_of_memory)
+    with pytest.raises(MemoryError, match=r"^pairwise worker \d+ ran out of memory$"):
+        split(_paley(13), 2)
+    _assert_no_child_left()
+
+
 def test_split_keeps_a_range_whose_fork_fails(monkeypatch, split):
     # with no process to spare, every range runs in process
     def fail():
