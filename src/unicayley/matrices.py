@@ -6,11 +6,11 @@ digit).  Each question has one engine: one row reduction, _eliminate,
 gives the rank and determinant of one matrix, and _span_table's spans, a
 span being the set of its vectors' codes, answer for a whole space.  Every
 enumeration oracle lives here, counts what census computes in closed form,
-is charged up front and never eliminates.  Every count is a column-span
-transfer that never forms a matrix, charged by _oracle_terms for census and
-verify alike: _transfer_counts gives the shifted-intersection count and the
-common-neighbor count of a pair, and rank2_case_decomposition_oracle the
-rank-2 case split, carrying the leading 2 x 2 block's label in its states.
+is charged up front and never eliminates.  No count forms a matrix, and
+_oracle_terms charges each for census and verify alike: _transfer_counts
+gives the shifted-intersection count and the common-neighbor count of a
+pair by column-span transfer, and rank2_case_decomposition_oracle the
+rank-2 case split, enumerating columns 0 and 1 and counting the rest.
 scan_space is the one full-space loop, for the two callers that need each
 matrix: the graph's unit set and the rank-1 singularity check, which decides
 the paper's singular-shift lemma by column spans in _shift_criterion; it
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
+from math import prod
 
 from .errors import check_budget, check_rank
 from .fields import FieldSpec
@@ -268,10 +269,10 @@ def scan_space(n: int, field: FieldSpec, visit) -> None:
     c not in U.  One bytes object serves every tail that reaches the same
     span, or none, so callers must not mutate it, and bytes cannot be.
     This is the one full-space loop, kept for the checks that need each
-    matrix; every count goes by transfer instead.  Callers keep their own
-    tallies.  It charges nothing: each public entry point charges its
-    whole work through errors.check_budget before it builds anything or
-    calls this.
+    matrix; the counts go by transfer, and the case split enumerates
+    columns 0 and 1 and counts the rest.  Callers keep their own tallies.
+    It charges nothing: each public entry point charges its whole work
+    through errors.check_budget before it builds anything or calls this.
     """
     q = field.q
     spaces, extend = _span_table(n, field)
@@ -301,7 +302,8 @@ def _oracle_terms(shifts: int, n: int, q: int) -> list[tuple[int, int, int]]:
 
     The charge is shifts * q^(n^2), the matrix-shift pairs of a full scan,
     as check_budget terms.  It bounds the transfer's work, at most
-    sum_j min(q^(nj), [n, j]_q^2) * q^n per shift.
+    sum_j min(q^(nj), [n, j]_q^2) * q^n per shift.  One pass also charges
+    the case split, as a bound on its q^(2n) enumerated column pairs.
     """
     return [(shifts, q, n * n)]
 
@@ -402,11 +404,11 @@ def rank2_case_decomposition_oracle(
     set by its own leading block does not, because inversion scrambles
     leading-block ranks.
 
-    One column-span transfer, charged as one _oracle_terms pass: columns 0
-    and 1 go first, so each state is (span of the columns so far, label of
-    B1), B1 being the top two entries of those two columns.  A pair whose
-    B1 + I_2 is singular is dropped, columns 2..n-2 extend U by every vector
-    outside it, and the last column is counted, not enumerated.
+    Only columns 0 and 1, whose top entries form B1, are enumerated, by
+    _span_table's extend(0) and extend(u); dependent pairs and label 3 are
+    dropped.  Every later column j lies outside the j-dimensional span
+    before it in q^n - q^j ways, whatever that span, so it is counted as a
+    factor.  Charged as one _oracle_terms pass, an upper bound on the work.
     """
     if n < 3:
         raise ValueError(f"case split needs n >= 3, got {n}")
@@ -429,21 +431,10 @@ def rank2_case_decomposition_oracle(
     tops = [(c % q, c // q % q) for c in range(q ** n)]
     labels = {(b00, b10): [case(b00, b01, b10, b11) for b01, b11 in tops]
               for b00, b10 in product(range(q), repeat=2)}
-    pairs = Counter()
+    cases = Counter()
     for c, u in enumerate(extend(0)):
         if u is not None:
-            pairs.update(zip(extend(u), labels[tops[c]]))
-    states = {(u, label): ways for (u, label), ways in pairs.items()
-              if u is not None and label != 3}
-    for _ in range(2, n - 1):
-        step = Counter()
-        for (u, label), ways in states.items():
-            for w, times in Counter(extend(u)).items():
-                if w is not None:
-                    step[w, label] += times * ways
-        states = step
-    # the last column lies outside a hyperplane: q^n - q^(n-1) ways
-    cases = Counter()
-    for (u, label), ways in states.items():
-        cases[label] += ways * (q ** n - q ** (n - 1))
-    return cases[0], cases[1], cases[2]
+            cases.update(label for w, label in zip(extend(u), labels[tops[c]])
+                         if w is not None)
+    rest = prod(q ** n - q ** j for j in range(2, n))
+    return cases[0] * rest, cases[1] * rest, cases[2] * rest

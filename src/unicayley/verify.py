@@ -6,9 +6,10 @@ forms, the singular-shift criterion by column spans against the block
 scan's unit flags on every matrix, or the rank-class reduction against
 brute-force common neighbors.
 A check takes (n, field, seed, budget) and returns (passed, detail).
-Every count goes by column-span transfer, charged by matrices._oracle_terms:
-the shifted counts through matrices._transfer_counts and the rank-2 case
-split through matrices.rank2_case_decomposition_oracle.  The one per-matrix
+Every count is charged by matrices._oracle_terms: the shifted counts go by
+column-span transfer through matrices._transfer_counts, and the rank-2 case
+split through matrices.rank2_case_decomposition_oracle, which enumerates
+columns 0 and 1 and counts the rest as factors.  The one per-matrix
 check, rank1-singularity, scans through matrices.scan_space, charged by
 matrices._scan_terms.  matrices._transfer_counts, matrices.scan_space and
 both charges are looked up when they run, so a wrapper on any of them sees
@@ -142,8 +143,10 @@ CHECKS = {
     "rank1-singularity": (_check_rank1_singularity,
                           lambda n, q: matrices._scan_terms(n, q)),
     "rank1-count": (_check_rank1_count, lambda n, q: matrices._oracle_terms(1, n, q)),
+    # one pass for the count and, at n >= 3, one for the case split: a bound
+    # on its work, since it enumerates columns 0 and 1 and counts the rest
     "rank2-count": (_check_rank2_count, lambda n, q: matrices._oracle_terms(1, n, q)
-                    + (matrices._oracle_terms(1, n, q) if n >= 3 else [])),  # the case split
+                    + (matrices._oracle_terms(1, n, q) if n >= 3 else [])),
     "recurrence": (_check_recurrence, lambda n, q: (
         term for i in range(n, 0, -1) for term in matrices._oracle_terms(1, i, q))),
     "rank-reduction": (_check_rank_reduction, lambda n, q: matrices._oracle_terms(

@@ -133,15 +133,39 @@ def test_case_decomposition_matches_formulas_and_total(field):
 
 
 @pytest.mark.parametrize("n,field", [(3, F2), (3, F3), (3, F4), (4, F2)])
-def test_case_transfer_equals_the_block_scan(n, field):
-    # the labelled column transfer against every matrix's unit flag, each
-    # labelled by the ranks of its leading block and of that block plus I_2
+def test_case_split_equals_the_block_scan(n, field):
+    # the two enumerated columns and the counted rest against every matrix's
+    # unit flag, each labelled by the ranks of its leading block and of that
+    # block plus I_2
     assert rank2_case_decomposition_oracle(n, field) == block_scan_case_split(n, field)
 
 
-@pytest.mark.parametrize("n,field", [(4, F3), (5, F2)])
-def test_case_transfer_beyond_the_block_scan(n, field):
-    assert rank2_case_decomposition_oracle(n, field) == rank2_case_formulas(n, field.q)
+@pytest.mark.parametrize("n,field", [(4, F3), (5, F2), (4, F4), (5, F3), (6, F2)])
+def test_case_split_beyond_the_block_scan(n, field):
+    # from n = 4 on, the columns after the first two are a product of more
+    # than one factor q^n - q^j; the budget is the charge, one q^(n^2) pass
+    split = rank2_case_decomposition_oracle(n, field, budget=field.q ** (n * n))
+    assert split == rank2_case_formulas(n, field.q)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_case_split_extends_only_the_zero_span_and_lines(n, monkeypatch):
+    # columns 0 and 1 are enumerated and every later column is counted, so
+    # no span of dimension 2 or more is ever extended
+    sizes = []
+    span_table = matrices._span_table
+
+    def recording(*args):
+        spaces, extend = span_table(*args)
+
+        def recorded(u):
+            sizes.append(len(spaces[u]))
+            return extend(u)
+        return spaces, recorded
+
+    monkeypatch.setattr(matrices, "_span_table", recording)
+    assert rank2_case_decomposition_oracle(n, F2) == rank2_case_formulas(n, 2)
+    assert sizes and max(sizes) <= F2.q
 
 
 def test_case_decomposition_rejects_small_n():

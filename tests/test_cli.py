@@ -403,7 +403,7 @@ def test_verify_checks_the_recursion_against_the_paper(capsys, monkeypatch, chec
 
 def test_verify_scans_eliminate_nothing(capsys, monkeypatch):
     # the rank-1 lemma decides by column spans, and the case split labels
-    # its transfer's states by the products of 2 x 2 blocks
+    # its enumerated column pairs by the products of 2 x 2 blocks
     def refuse(*args, **kwargs):
         raise AssertionError("a verify scan eliminated")
 
@@ -415,7 +415,8 @@ def test_verify_scans_eliminate_nothing(capsys, monkeypatch):
 
 
 def test_verify_rank2_count_takes_no_block_scan(capsys, monkeypatch):
-    # the count and its case split are both column-span transfers
+    # the count goes by column-span transfer, and its case split enumerates
+    # columns 0 and 1 and counts the rest: neither scans a block
     def no_scan(*args):
         raise AssertionError("the rank-2 count took a block scan")
 
@@ -661,7 +662,7 @@ def test_the_oracle_charge_has_one_owner(capsys, monkeypatch):
         (["census", "--n", "2", "--field", "3", "--method", "oracle"], 2 * 3 * 81),
         (["verify", "--check", "rank-reduction", "--n", "2", "--field", "3"],
          2 * 50 * 81),
-        # the count and the case split, one transfer pass each
+        # the count and the case split, one oracle pass each
         (["verify", "--check", "rank2-count", "--n", "3", "--field", "2"],
          2 * 512 + 2 * 512),
     ):
