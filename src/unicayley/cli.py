@@ -77,6 +77,12 @@ def _check_printable(n: int, q: int, what: str) -> None:
     refused when q^{n^2} has more decimal digits than the interpreter converts
     to a string, or than the interpreter's default limit when that check is
     switched off (0).  This also bounds the work of the recursion.
+
+    It stays outside errors.check_budget, which states the sum it compares:
+    this test is exact, q^{n^2} >= 10^limit, but its refusal states a digit
+    count from errors._log10, a different quantity.  Folding it in would
+    either restate every digit refusal as items against a budget of
+    10^limit - 1 or compare a digit count derived from a float.
     """
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     bound = 10 ** limit

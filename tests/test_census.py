@@ -280,7 +280,7 @@ def test_shifted_counts_equal_per_matrix_count(n, field):
                                        (2, 47, range(3))])
 def test_transfer_equals_the_recursion_beyond_the_block_scan(n, p, ranks):
     # spaces whose block scan takes seconds or more: n = 5 is checked by an
-    # oracle only here and in CI
+    # oracle only here and in tests/frontier.py
     field = make_field(p)
     counts = _transfer_counts([canonical_rank_matrix(n, r, field) for r in ranks])
     assert counts == [shifted_count_recursion(n, r, p) for r in ranks]
